@@ -1,9 +1,9 @@
 """CIFAR-100 binary ingestion, normalization, augmentation, batching, and
 synthetic data for tests.
 
-Record layout (official binary format): 3074 bytes = coarse label byte,
-fine label byte, 3072 pixel bytes channel-planar (1024 red, 1024 green,
-1024 blue), each plane row-major 32x32.
+A split is one array of `RECORD`, the official binary record: 3074 bytes =
+coarse label byte, fine label byte, 3072 pixel bytes channel-planar (1024
+red, 1024 green, 1024 blue), each plane row-major 32x32.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ import numpy as np
 from .seeding import stream
 from .tensor import ConfigError, Tensor
 
-RECORD_BYTES = 3074
-PIXEL_BYTES = 3072
+RECORD = np.dtype((np.record, [("coarse_label", "u1"), ("fine_label", "u1"),
+                               ("pixels", "u1", (3072,))]))
+RECORD_BYTES = RECORD.itemsize
 IMG_SHAPE = (3, 32, 32)
 TRAIN_RECORDS = 50_000
 TEST_RECORDS = 10_000
@@ -28,24 +29,37 @@ class DataError(ValueError):
     pass
 
 
-@dataclass
-class Cifar100Record:
-    coarse_label: int
-    fine_label: int
-    pixels: np.ndarray  # uint8 (3072,), channel-planar
+class Records:
+    """A split held as one `RECORD` array whose labels are in range.
 
-    def __post_init__(self):
-        if not 0 <= self.coarse_label <= 19:
-            raise DataError(f"coarse_label {self.coarse_label} outside [0, 19]")
-        if not 0 <= self.fine_label <= 99:
-            raise DataError(f"fine_label {self.fine_label} outside [0, 99]")
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (PIXEL_BYTES,):
-            raise DataError(f"pixels must be {PIXEL_BYTES} bytes, "
-                            f"got shape {self.pixels.shape}")
+    An integer index gives a numpy record (`.coarse_label`, `.fine_label`,
+    `.pixels`), a slice gives a Records. Not an ndarray, so that
+    `list += records` extends the list instead of broadcasting an add.
+    """
 
-    def image(self) -> np.ndarray:
-        return self.pixels.reshape(IMG_SHAPE)
+    def __init__(self, records):
+        try:
+            self.array = np.asarray(records, dtype=RECORD)
+        except (ValueError, OverflowError) as e:
+            raise DataError(f"not {RECORD_BYTES}-byte records: {e}") from None
+        for field, top in (("coarse_label", 19), ("fine_label", 99)):
+            labels = self.array[field]
+            if labels.size and labels.max() > top:
+                raise DataError(f"{field} {int(labels.max())} outside [0, {top}]")
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array.copy() if copy else self.array
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Records(self.array[key])
+        return self.array[key]
+
+    def __iter__(self):
+        return iter(self.array)
 
 
 @dataclass(frozen=True)
@@ -64,25 +78,16 @@ class Batch:
 # loading / writing
 # ---------------------------------------------------------------------------
 
-def _parse_records(raw: bytes, origin: str):
-    if len(raw) == 0 or len(raw) % RECORD_BYTES:
-        raise DataError(f"{origin}: size {len(raw)} bytes is not a positive "
-                        f"multiple of the {RECORD_BYTES}-byte record size")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-    coarse, fine = arr[:, 0], arr[:, 1]
-    if coarse.max() > 19:
-        raise DataError(f"{origin}: coarse label {int(coarse.max())} outside [0, 19]")
-    if fine.max() > 99:
-        raise DataError(f"{origin}: fine label {int(fine.max())} outside [0, 99]")
-    return [Cifar100Record(int(c), int(f), row[2:].copy())
-            for c, f, row in zip(coarse, fine, arr)]
-
-
-def load_records(path):
+def load_records(path) -> Records:
     """Parse one record file of any length (must be whole records)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    return _parse_records(raw, os.fspath(path))
+    size = os.path.getsize(path)
+    if size == 0 or size % RECORD_BYTES:
+        raise DataError(f"{path}: size {size} bytes is not a positive "
+                        f"multiple of the {RECORD_BYTES}-byte record size")
+    try:
+        return Records(np.fromfile(path, dtype=RECORD))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def load_cifar100(data_dir):
@@ -103,10 +108,8 @@ def load_cifar100(data_dir):
 
 
 def write_records(path, records) -> None:
-    with open(path, "wb") as f:
-        for r in records:
-            f.write(bytes((r.coarse_label, r.fine_label)))
-            f.write(r.pixels.tobytes())
+    """Write a Records, or any sequence of records, in the file layout."""
+    Records(records).array.tofile(path)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +119,9 @@ def write_records(path, records) -> None:
 def compute_norm_stats(records) -> NormStats:
     """Per-channel mean/std of pixel values scaled to [0,1]; zero std is
     clamped to 1 so constant channels stay finite."""
-    if not records:
+    if not len(records):
         raise DataError("compute_norm_stats: no records")
-    arr = np.stack([r.pixels for r in records]).reshape(len(records), 3, -1)
+    arr = records.array["pixels"].reshape(len(records), 3, -1)
     mean = arr.mean(axis=(0, 2), dtype=np.float64) / 255.0
     std = arr.std(axis=(0, 2), dtype=np.float64) / 255.0
     std = np.where(std < 1e-8, 1.0, std)
@@ -214,14 +217,12 @@ def batch_iter(records, batch_size: int, shuffle_seed: int, norm: NormStats,
     perm = stream("shuffle", shuffle_seed, epoch).permutation(n)
     for start in range(0, n, batch_size):
         idxs = perm[start:start + batch_size]
-        imgs = np.empty((len(idxs), *IMG_SHAPE), dtype=np.uint8)
-        for row, i in enumerate(idxs):
-            img = records[i].image()
-            if augment_enabled:
-                img = augment(img, stream("augment", shuffle_seed, epoch, int(i)),
-                              enabled=True)
-            imgs[row] = img
-        labels = np.array([records[i].fine_label for i in idxs], dtype=np.int64)
+        imgs = records.array["pixels"][idxs].reshape(-1, *IMG_SHAPE)
+        if augment_enabled:  # imgs is a fresh copy: augment it in place
+            for row, i in enumerate(idxs):
+                seed = stream("augment", shuffle_seed, epoch, int(i))
+                imgs[row] = augment(imgs[row], seed, enabled=True)
+        labels = records.array["fine_label"][idxs].astype(np.int64)
         yield Batch(images=Tensor(normalize(imgs, norm)), labels=labels)
 
 
@@ -253,5 +254,5 @@ def synthetic_dataset(n: int, n_classes: int, seed: int):
     rng.shuffle(fine)
     noise = rng.normal(0.0, 20.0, size=(n, 3, 1024))
     base = palette[fine][:, :, None]  # (n, 3, 1)
-    pixels = np.clip(base + noise, 0, 255).astype(np.uint8).reshape(n, PIXEL_BYTES)
-    return [Cifar100Record(int(f) // 5, int(f), px) for f, px in zip(fine, pixels)]
+    pixels = np.clip(base + noise, 0, 255).astype(np.uint8).reshape(n, -1)
+    return Records(np.rec.fromarrays([fine // 5, fine, pixels], dtype=RECORD))

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .checkpoint import replacing
 from .tensor import ConfigError, ShapeError
 
 CSV_FIELDS = ("epoch", "step", "split", "loss", "top1", "top5", "lr", "wall_time_s")
@@ -78,6 +79,16 @@ class MetricsWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def drop_rows_from(path, epoch: int) -> None:
+    """Drop the rows of `epoch` and later, for a run that resumes at `epoch`."""
+    if not os.path.exists(path):
+        return
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    with replacing(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows[:1] + [r for r in rows[1:] if int(r[0]) < epoch])
 
 
 def read_metrics(path):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -161,41 +160,23 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # tape
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class TapeNode:
-    op: str
-    output_id: int
-    input_ids: tuple
-    _tensor: Tensor
-
-
-class Tape:
-    """Recorded ops reachable from a root, parents before children."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Tape":
-        entries = []
-        visited = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                entries.append(TapeNode(node._op, node.node_id,
-                                        tuple(p.node_id for p in node._parents), node))
-                continue
-            if node.node_id in visited or node._op is None:
-                continue
-            visited.add(node.node_id)
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        return cls(entries)
-
-    def __len__(self):
-        return len(self.entries)
+def tape(root: Tensor) -> list:
+    """Recorded tensors reachable from root, parents before children."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node.node_id in visited or node._op is None:
+            continue
+        visited.add(node.node_id)
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -204,13 +185,11 @@ def backward(loss: Tensor) -> None:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad or loss._op is None:
         raise AutodiffError("backward: no recorded graph reaches this tensor")
-    tape = Tape.from_root(loss)
     flow = {loss.node_id: np.ones_like(loss.data)}
-    for node in reversed(tape.entries):
-        g = flow.pop(node.output_id, None)
+    for t in reversed(tape(loss)):
+        g = flow.pop(t.node_id, None)
         if g is None:
             continue
-        t = node._tensor
         for p, pg in zip(t._parents, t._rule(g)):
             if pg is None or not p.requires_grad:
                 continue

@@ -24,7 +24,7 @@ from .data import (
     load_records,
     synthetic_dataset,
 )
-from .metrics import MetricsRow, MetricsWriter, topk_accuracy
+from .metrics import MetricsRow, MetricsWriter, drop_rows_from, topk_accuracy
 from .model import ModelConfig, forward, init_params
 from .optim import AdamWHyperParams, adamw_step, init_adamw_state
 from .tensor import ConfigError, backward, cross_entropy, no_grad
@@ -111,8 +111,11 @@ def load_run_config(path=None, **overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _load_split(data_dir, fname):
-    return load_records(os.path.join(os.fspath(data_dir), fname))
+def _train_split(data_dir):
+    """The train split of data_dir and its cached normalization stats."""
+    records = load_records(os.path.join(os.fspath(data_dir), TRAIN_FILE))
+    return records, cached_norm_stats(
+        records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
 
 
 def _dropout_stream_seed(seed: int, step: int) -> int:
@@ -147,10 +150,10 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
     every `checkpoint_every` epochs plus a final one."""
     say = log or (lambda msg: None)
     os.makedirs(out_dir, exist_ok=True)
-    train_records = _load_split(data_dir, TRAIN_FILE)
-    val_records = _load_split(data_dir, TEST_FILE)
-    norm = cached_norm_stats(train_records,
-                             os.path.join(os.fspath(data_dir), "norm_stats.txt"))
+    train_records, norm = _train_split(data_dir)
+    val_records = load_records(os.path.join(os.fspath(data_dir), TEST_FILE))
+    metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
+    final_path = os.path.join(os.fspath(out_dir), "checkpoint_final.bin")
 
     cfg = run.model_config()
     hp = run.hyperparams()
@@ -162,8 +165,12 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         if ck.seed != run.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} does not match "
                               f"run seed {run.seed}")
+        if ck.hp is not None and ck.hp != hp:
+            raise ConfigError(f"checkpoint optimizer hyperparameters {ck.hp} do "
+                              f"not match run hyperparameters {hp}")
         params, start_epoch = ck.params, ck.epoch
         state = ck.opt_state if ck.opt_state is not None else init_adamw_state(params)
+        drop_rows_from(metrics_path, start_epoch)
     else:
         params = init_params(cfg, run.seed)
         state = init_adamw_state(params)
@@ -171,8 +178,6 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
 
     steps_per_epoch = (len(train_records) + run.batch_size - 1) // run.batch_size
     step = start_epoch * steps_per_epoch
-    metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
-    final_path = os.path.join(os.fspath(out_dir), "checkpoint_final.bin")
 
     with MetricsWriter(metrics_path) as writer:
         for epoch in range(start_epoch, run.epochs):
@@ -225,10 +230,9 @@ def evaluate(checkpoint_path, data_dir, split: str, batch_size: int = 256):
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     ck = load_checkpoint(checkpoint_path)
-    train_records = _load_split(data_dir, TRAIN_FILE)
-    norm = cached_norm_stats(train_records,
-                             os.path.join(os.fspath(data_dir), "norm_stats.txt"))
-    records = train_records if split == "train" else _load_split(data_dir, TEST_FILE)
+    train_records, norm = _train_split(data_dir)
+    records = (train_records if split == "train"
+               else load_records(os.path.join(os.fspath(data_dir), TEST_FILE)))
     return evaluate_params(ck.params, ck.cfg, records, norm, batch_size)
 
 

@@ -1,9 +1,12 @@
 import dataclasses
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from cct import checkpoint
 from cct.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from cct.model import ModelConfig, init_params
 from cct.optim import AdamWHyperParams, init_adamw_state
@@ -102,3 +105,46 @@ def test_rejects_name_config_mismatch(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"CCTS"
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.bin"
+    params = _params()
+    save_checkpoint(path, CFG, params, seed=3, epoch=1)
+    before = path.read_bytes()
+    real, written = checkpoint._write_tensor, []
+
+    def failing(f, name, arr):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(name)
+        real(f, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_tensor", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, CFG, init_params(CFG, seed=4), seed=4, epoch=2)
+    assert path.read_bytes() == before
+    back = load_checkpoint(path)
+    assert back.epoch == 1 and back.seed == 3
+    for name in params.names():
+        assert np.array_equal(back.params[name].data, params[name].data)
+    assert os.listdir(tmp_path) == ["ck.bin"]
+    monkeypatch.setattr(checkpoint, "_write_tensor", real)
+    save_checkpoint(path, CFG, init_params(CFG, seed=4), seed=4, epoch=2)
+    assert load_checkpoint(path).epoch == 2
+    assert os.listdir(tmp_path) == ["ck.bin"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_save_over_a_checkpoint_closes_the_replaced_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, CFG, _params(), seed=3, epoch=1)
+    before = len(os.listdir("/proc/self/fd"))
+    for epoch in range(2, 5):
+        save_checkpoint(path, CFG, _params(), seed=3, epoch=epoch)
+    for t in threading.enumerate():
+        if t is not threading.current_thread():
+            t.join(timeout=10)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert load_checkpoint(path).epoch == 4
+    assert os.listdir(tmp_path) == ["ck.bin"]

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cct.data import (
+    IMG_SHAPE,
+    RECORD,
     RECORD_BYTES,
-    Cifar100Record,
     DataError,
+    Records,
     augment,
     batch_iter,
     cached_norm_stats,
@@ -22,35 +24,68 @@ from cct.data import (
     synthetic_dataset,
     write_records,
 )
+from cct.seeding import stream
 from cct.tensor import ConfigError
 
 
-def _record(fine=0, fill=0):
-    return Cifar100Record(fine // 5, fine, np.full(3072, fill, dtype=np.uint8))
+def _filled(*fills, fine=0):
+    """One record per fill value, every pixel byte set to it."""
+    return Records([(fine // 5, fine, np.full(3072, v, dtype=np.uint8)) for v in fills])
 
 
 # ---------------------------------------------------------------------------
 # records and files
 # ---------------------------------------------------------------------------
 
+def test_record_dtype_is_the_file_layout():
+    assert RECORD.itemsize == RECORD_BYTES == 3074
+    assert RECORD.names == ("coarse_label", "fine_label", "pixels")
+    assert [RECORD.fields[n][1] for n in RECORD.names] == [0, 1, 2]
+
+
 def test_record_rejects_out_of_range_labels():
+    px = np.zeros(3072, dtype=np.uint8)
+    with pytest.raises(DataError, match="fine_label 120"):
+        Records([(0, 120, px)])
+    with pytest.raises(DataError, match="coarse_label 20"):
+        Records([(20, 0, px)])
     with pytest.raises(DataError):
-        Cifar100Record(0, 120, np.zeros(3072, dtype=np.uint8))
-    with pytest.raises(DataError):
-        Cifar100Record(20, 0, np.zeros(3072, dtype=np.uint8))
-    with pytest.raises(DataError):
-        Cifar100Record(0, -1, np.zeros(3072, dtype=np.uint8))
+        Records([(0, -1, px)])
+    with pytest.raises(DataError, match="fine_label 100"):
+        Records([(0, 0, px), (0, 100, px)])
+    arr = np.zeros(3, dtype=RECORD)
+    arr["coarse_label"][2] = 20
+    with pytest.raises(DataError, match="coarse_label 20"):
+        Records(arr)
 
 
 def test_record_rejects_wrong_pixel_count():
     with pytest.raises(DataError):
-        Cifar100Record(0, 0, np.zeros(3071, dtype=np.uint8))
+        Records([(0, 0, np.zeros(3071, dtype=np.uint8))])
+
+
+def test_records_sequence_protocol():
+    recs = synthetic_dataset(6, 3, seed=0)
+    assert len(recs) == 6
+    r = recs[4]
+    assert (r.coarse_label, r.fine_label) == (recs.array["coarse_label"][4],
+                                              recs.array["fine_label"][4])
+    assert r.pixels.shape == (3072,) and r.pixels.dtype == np.uint8
+    assert np.array_equal(recs[-1].pixels, recs.array["pixels"][5])
+    part = recs[1:4]
+    assert isinstance(part, Records) and len(part) == 3
+    assert np.array_equal(part.array, recs.array[1:4])
+    assert [x.fine_label for x in recs] == list(recs.array["fine_label"])
+    # not an ndarray: list += records extends the list with records
+    out = []
+    out += recs
+    assert len(out) == 6 and out[4].fine_label == r.fine_label
 
 
 def test_write_then_load_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    recs = [Cifar100Record(i // 5, i, rng.integers(0, 256, 3072, dtype=np.uint8))
-            for i in range(7)]
+    recs = Records([(i // 5, i, rng.integers(0, 256, 3072, dtype=np.uint8))
+                    for i in range(7)])
     path = tmp_path / "r.bin"
     write_records(path, recs)
     assert path.stat().st_size == 7 * RECORD_BYTES
@@ -60,6 +95,13 @@ def test_write_then_load_roundtrip(tmp_path):
         assert a.coarse_label == b.coarse_label
         assert a.fine_label == b.fine_label
         assert np.array_equal(a.pixels, b.pixels)
+    raw = path.read_bytes()
+    assert raw[:2] == bytes((0, 0)) and raw[RECORD_BYTES + 1] == 1
+    assert raw[2:RECORD_BYTES] == recs[0].pixels.tobytes()
+    # a plain list of records writes the same bytes
+    listed = tmp_path / "l.bin"
+    write_records(listed, list(recs))
+    assert listed.read_bytes() == raw
 
 
 def test_load_records_rejects_truncated_file(tmp_path):
@@ -120,7 +162,7 @@ def test_load_cifar100_missing_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_norm_stats_constant_image():
-    stats = compute_norm_stats([_record(fill=128)] * 3)
+    stats = compute_norm_stats(_filled(128, 128, 128))
     assert np.allclose(stats.mean, 128 / 255)
     assert np.array_equal(stats.std, np.ones(3))  # zero std clamped
 
@@ -129,7 +171,7 @@ def test_norm_stats_two_value_channel():
     # half pixels 0, half 255 in every channel: mean .5, std .5
     px = np.zeros(3072, dtype=np.uint8)
     px[::2] = 255
-    stats = compute_norm_stats([Cifar100Record(0, 0, px)])
+    stats = compute_norm_stats(Records([(0, 0, px)]))
     assert np.allclose(stats.mean, 0.5)
     assert np.allclose(stats.std, 0.5)
 
@@ -137,21 +179,34 @@ def test_norm_stats_two_value_channel():
 def test_norm_stats_requires_records():
     with pytest.raises(DataError):
         compute_norm_stats([])
+    with pytest.raises(DataError):
+        compute_norm_stats(Records(np.empty(0, dtype=RECORD)))
+    with pytest.raises(DataError):
+        compute_norm_stats(synthetic_dataset(3, 3, seed=0)[3:])
+
+
+def test_norm_stats_match_stacked_rows_oracle():
+    recs = synthetic_dataset(300, 10, seed=4)
+    rows = np.stack([np.frombuffer(r.tobytes()[2:], dtype=np.uint8) for r in recs])
+    arr = rows.reshape(len(rows), 3, -1)
+    stats = compute_norm_stats(recs)
+    assert stats.mean.tobytes() == (arr.mean(axis=(0, 2), dtype=np.float64) / 255.0).tobytes()
+    assert stats.std.tobytes() == (arr.std(axis=(0, 2), dtype=np.float64) / 255.0).tobytes()
 
 
 def test_normalize_denormalize_roundtrip():
     rng = np.random.default_rng(1)
-    recs = [Cifar100Record(0, i, rng.integers(0, 256, 3072, dtype=np.uint8))
-            for i in range(5)]
+    recs = Records([(0, i, rng.integers(0, 256, 3072, dtype=np.uint8))
+                    for i in range(5)])
     stats = compute_norm_stats(recs)
-    x = np.stack([r.image() for r in recs]).astype(np.float64)
+    x = recs.array["pixels"].reshape(-1, *IMG_SHAPE).astype(np.float64)
     back = denormalize(normalize(x, stats), stats)
     assert np.max(np.abs(back - x)) < 1e-6
 
 
 def test_normalize_uint8_gives_float32():
-    stats = compute_norm_stats([_record(fill=100), _record(fill=200)])
-    out = normalize(_record(fill=100).image(), stats)
+    stats = compute_norm_stats(_filled(100, 200))
+    out = normalize(np.full(IMG_SHAPE, 100, dtype=np.uint8), stats)
     assert out.dtype == np.float32
 
 
@@ -276,6 +331,39 @@ def test_augmented_batches_are_deterministic():
     b = [b.images.data for b in batch_iter(recs, 5, 2, stats, True)]
     for xa, xb in zip(a, b):
         assert np.array_equal(xa, xb)
+
+
+def _oracle_batches(raw, batch_size, seed, norm, augment_enabled, epoch):
+    """batch_iter's contract, one record at a time from the file bytes."""
+    n = len(raw) // RECORD_BYTES
+    perm = stream("shuffle", seed, epoch).permutation(n)
+    for start in range(0, n, batch_size):
+        imgs, labels = [], []
+        for i in perm[start:start + batch_size]:
+            rec = raw[i * RECORD_BYTES:(i + 1) * RECORD_BYTES]
+            img = np.frombuffer(rec[2:], dtype=np.uint8).reshape(3, 32, 32)
+            imgs.append(augment(img, stream("augment", seed, epoch, int(i)),
+                                enabled=augment_enabled))
+            labels.append(rec[1])
+        yield normalize(np.stack(imgs), norm), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize("augment_enabled", [False, True])
+def test_batch_iter_matches_per_record_oracle(tmp_path, augment_enabled):
+    path = tmp_path / "r.bin"
+    write_records(path, synthetic_dataset(23, 10, seed=9))
+    raw = path.read_bytes()
+    recs = load_records(path)
+    stats = compute_norm_stats(recs)
+    for epoch in (0, 1):
+        got = list(batch_iter(recs, 5, 4, stats, augment_enabled, epoch=epoch))
+        want = list(_oracle_batches(raw, 5, 4, stats, augment_enabled, epoch))
+        assert len(got) == len(want) == 5
+        for batch, (images, labels) in zip(got, want):
+            assert batch.images.data.dtype == images.dtype == np.float32
+            assert batch.images.data.tobytes() == images.tobytes()
+            assert batch.labels.dtype == np.int64
+            assert np.array_equal(batch.labels, labels)
 
 
 def test_augmentation_changes_some_pixels():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cct.metrics import CSV_FIELDS, MetricsRow, MetricsWriter, read_metrics, topk_accuracy
+from cct.metrics import (
+    CSV_FIELDS,
+    MetricsRow,
+    MetricsWriter,
+    drop_rows_from,
+    read_metrics,
+    topk_accuracy,
+)
 from cct.tensor import ConfigError, ShapeError
 
 
@@ -114,3 +121,25 @@ def test_read_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
         read_metrics(path)
+
+
+def test_drop_rows_from_keeps_earlier_rows_byte_exact(tmp_path):
+    path = tmp_path / "m.csv"
+    with MetricsWriter(path) as w:
+        for epoch in range(2):
+            w.write(_row(epoch=epoch, step=epoch + 1, loss=0.1 * (epoch + 1)))
+    prefix = path.read_bytes()
+    with MetricsWriter(path) as w:
+        for epoch in range(2, 4):
+            w.write(_row(epoch=epoch, split="train"))
+            w.write(_row(epoch=epoch, split="val"))
+    drop_rows_from(path, 2)
+    assert path.read_bytes() == prefix
+    drop_rows_from(path, 0)
+    assert read_metrics(path) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
+def test_drop_rows_from_missing_file_is_a_no_op(tmp_path):
+    drop_rows_from(tmp_path / "absent.csv", 3)
+    assert not (tmp_path / "absent.csv").exists()

@@ -10,7 +10,6 @@ from cct.tensor import (
     AutodiffError,
     ConfigError,
     ShapeError,
-    Tape,
     Tensor,
     activation,
     backward,
@@ -25,6 +24,7 @@ from cct.tensor import (
     no_grad,
     relu,
     softmax_rows,
+    tape,
 )
 
 from oracles import naive_conv2d, naive_maxpool2d, naive_softmax_rows
@@ -457,13 +457,31 @@ def test_tape_is_topologically_ordered():
     x = t64([[1.0, 2.0]], requires_grad=True)
     w = t64([[1.0], [1.0]], requires_grad=True)
     y = relu(matmul(x, w)).sum()
-    tape = Tape.from_root(y)
+    order = tape(y)
+    assert isinstance(order, list)
+    assert [t._op for t in order] == ["matmul", "relu", "sum"]
+    ids = [t.node_id for t in order]
     seen = set()
-    for node in tape.entries:
-        assert all(i in seen or i not in {n.output_id for n in tape.entries}
-                   for i in node.input_ids)
-        seen.add(node.output_id)
-    assert len({n.output_id for n in tape.entries}) == len(tape.entries)
+    for t in order:
+        assert all(p.node_id in seen or p.node_id not in ids for p in t._parents)
+        seen.add(t.node_id)
+    assert len(set(ids)) == len(ids)
+
+
+def test_backward_reads_rule_at_replay_time():
+    # a rule swapped in after the op returned is the one backward calls
+    x = t64([1.0, 2.0], requires_grad=True)
+    y = x * x
+    rule, calls = y._rule, []
+
+    def wrapped(g):
+        calls.append(g.shape)
+        return rule(g)
+
+    y._rule = wrapped
+    backward(y.sum())
+    assert calls == [(2,)]
+    npt.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
 
 def test_no_grad_blocks_recording():

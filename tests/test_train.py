@@ -146,6 +146,27 @@ def test_resume_rejects_config_mismatch(data_dir, tmp_path):
         train(reseeded, data_dir, tmp_path / "out3", resume_from=result["checkpoint"])
 
 
+def test_resume_rejects_optimizer_mismatch(data_dir, tmp_path):
+    result = train(RunConfig(**TINY), data_dir, tmp_path / "out")
+    for change in ({"lr": 0.02}, {"weight_decay": 0.0}):
+        other = RunConfig(**{**TINY, **change})
+        with pytest.raises(ConfigError, match="hyperparameters"):
+            train(other, data_dir, tmp_path / "out2", resume_from=result["checkpoint"])
+
+
+def test_resume_over_later_rows_keeps_one_pair_per_epoch(data_dir, tmp_path):
+    run = RunConfig(**{**TINY, "epochs": 4, "checkpoint_every": 2})
+    full = train(run, data_dir, tmp_path / "full")
+    out = tmp_path / "rerun"
+    train(run, data_dir, out)
+    resumed = train(run, data_dir, out, resume_from=out / "checkpoint_epoch2.bin")
+    rows = read_metrics(resumed["metrics"])
+    assert [(r.epoch, r.split) for r in rows] == \
+        [(e, s) for e in range(4) for s in ("train", "val")]
+    assert [dataclasses.replace(r, wall_time_s=0.0) for r in rows] == \
+        [dataclasses.replace(r, wall_time_s=0.0) for r in read_metrics(full["metrics"])]
+
+
 def test_missing_dataset_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         train(RunConfig(**TINY), tmp_path / "nowhere", tmp_path / "out")
