@@ -127,12 +127,17 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _recording(parents) -> bool:
+    """Whether an op on these parents records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(op: str, out_data: np.ndarray, parents, rule) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.node_id = next(_ids)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._op = op
         out._parents = tuple(parents)
@@ -291,16 +296,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: x {x.shape} does not match w {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
-    out = x.data @ w.data
-    if b is not None:
-        out = out + b.data
-
     d_in, d_out = w.shape
+    # one (B*L, d_in) GEMM instead of one per leading index
+    out = x.data.reshape(-1, d_in) @ w.data
+    if b is not None:
+        out += b.data
+    out = out.reshape(x.shape[:-1] + (d_out,))
 
     def rule(g):
         gf = g.reshape(-1, d_out)
         dw = x.data.reshape(-1, d_in).T @ gf
-        dx = g @ w.data.T
+        dx = (gf @ w.data.T).reshape(x.shape)
         if b is None:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
@@ -324,16 +330,25 @@ def relu(a: Tensor) -> Tensor:
 _INV_SQRT_2PI = 0.3989422804014327
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x)
-    return ndtr(x) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), given cdf = Phi(x); a new array."""
+    t = np.multiply(-0.5, x)
+    t *= x
+    np.exp(t, out=t)
+    np.multiply(x, t, out=t)
+    t *= _INV_SQRT_2PI
+    np.add(cdf, t, out=t)
+    return t
 
 
 def gelu(a: Tensor) -> Tensor:
-    out = a.data * ndtr(a.data)  # exact x * Phi(x), no tanh fit
+    cdf = ndtr(a.data)  # kept for the backward: ndtr is the costly part
+    out = a.data * cdf  # exact x * Phi(x), no tanh fit
 
     def rule(g):
-        return (g * _gelu_grad(a.data),)
+        d = _gelu_grad(a.data, cdf)
+        np.multiply(g, d, out=d)
+        return (d,)
 
     return _record("gelu", out, (a,), rule)
 
@@ -355,15 +370,24 @@ def activation(kind: str, x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     """Softmax over the last axis of scale * x, max-shifted for stability."""
-    z = x.data * scale if scale != 1.0 else x.data
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # shift, exp and normalise in place on one buffer
+    if scale != 1.0:
+        s = x.data * scale
+        s -= s.max(axis=-1, keepdims=True)
+    else:
+        s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        dz = s * (g - dot)
-        return (dz * scale if scale != 1.0 else dz,)
+        # one buffer holds g * s, then g - dot, then s * (g - dot), then * scale
+        dz = g * s
+        dot = dz.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dz)
+        np.multiply(s, dz, out=dz)
+        if scale != 1.0:
+            dz *= scale
+        return (dz,)
 
     return _record("softmax_rows", s, (x,), rule)
 
@@ -374,20 +398,27 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layernorm: gamma {gamma.shape} / beta {beta.shape} "
                          f"do not match feature dim {d}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out = np.multiply(xhat, xhat)  # (x - mu)^2 first, the output after
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def rule(g):
         gh = g * gamma.data
         m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gh - m1 - xhat * m2)
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        t = gh * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.multiply(g, xhat, out=t)
+        dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        return dx, dgamma, dbeta
+        gh -= m1
+        np.multiply(xhat, m2, out=t)
+        gh -= t
+        np.multiply(inv, gh, out=gh)  # dx = inv * (gh - m1 - xhat * m2)
+        return gh, dgamma, dbeta
 
     return _record("layernorm", out, (x, gamma, beta), rule)
 
@@ -461,7 +492,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
 
 
 def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
-    """Max pooling with -inf padding; ties go to the first window element."""
+    """Max pooling with -inf padding; ties go to the first window element
+    (a tie of -0.0 with +0.0 may yield either zero as the value)."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.shape}")
     if k < 1 or stride < 1 or pad < 0:
@@ -478,15 +510,23 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
 
     xp = (np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
                  constant_values=-np.inf) if pad else x.data)
+    windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+               for i in range(k) for j in range(k)]
     best = np.full((bsz, c, ho, wo), -np.inf, dtype=x.dtype)
+    for cand in windows:
+        np.fmax(best, cand, out=best)  # skips NaN, as a strict > does
+    if not _recording((x,)):
+        return _record("maxpool2d", best, (x,), None)
+    # arg is the first window slot (row-major) that holds the max; a window
+    # whose max is -inf keeps slot 0
     arg = np.zeros((bsz, c, ho, wo), dtype=np.int32)
-    for i in range(k):
-        for j in range(k):
-            cand = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            better = cand > best  # strict: first occurrence keeps the max
-            best = np.where(better, cand, best)
-            if i or j:
-                arg = np.where(better, np.int32(i * k + j), arg)
+    todo = best > -np.inf
+    for idx, cand in enumerate(windows):
+        hit = cand == best
+        hit &= todo
+        todo ^= hit
+        if idx:
+            arg += hit * np.int32(idx)
 
     def rule(g):
         ih, iw = np.divmod(arg.astype(np.int64), k)

@@ -168,6 +168,9 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         if ck.hp is not None and ck.hp != hp:
             raise ConfigError(f"checkpoint optimizer hyperparameters {ck.hp} do "
                               f"not match run hyperparameters {hp}")
+        if ck.epoch >= run.epochs:
+            raise ConfigError(f"checkpoint is at epoch {ck.epoch}: a run of "
+                              f"{run.epochs} epochs has nothing left to train")
         params, start_epoch = ck.params, ck.epoch
         state = ck.opt_state if ck.opt_state is not None else init_adamw_state(params)
         drop_rows_from(metrics_path, start_epoch)

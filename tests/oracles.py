@@ -113,3 +113,107 @@ def naive_super_attention(x, w_q, w_k, w_a, w_o, n_heads):
             heads.append(scores @ v[:, sl])
         out[n] = np.concatenate(heads, axis=-1) @ w_o
     return out
+
+
+# ---------------------------------------------------------------------------
+# Vectorized references: the straightforward formulas the fast kernels in
+# cct.tensor must reproduce bit for bit (same float operations, same order).
+# Each returns (forward output, backward rule); a rule maps the upstream
+# gradient to the tuple of parent gradients, like a recorded tensor's _rule.
+# ---------------------------------------------------------------------------
+
+_INV_SQRT_2PI = 0.3989422804014327
+
+
+def ref_gelu(x):
+    from scipy.special import ndtr
+    out = x * ndtr(x)
+
+    def rule(g):
+        return (g * (ndtr(x) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI),)
+
+    return out, rule
+
+
+def ref_softmax_rows(x, scale=1.0):
+    z = x * scale if scale != 1.0 else x
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def rule(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        dz = s * (g - dot)
+        return (dz * scale if scale != 1.0 else dz,)
+
+    return s, rule
+
+
+def ref_layernorm(x, gamma, beta, eps):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gamma + beta
+
+    def rule(g):
+        gh = g * gamma
+        m1 = gh.mean(axis=-1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (gh - m1 - xhat * m2)
+        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbeta = g.reshape(-1, d).sum(axis=0)
+        return dx, dgamma, dbeta
+
+    return out, rule
+
+
+def ref_maxpool2d(x, k, stride, pad):
+    bsz, c, h, wdt = x.shape
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wdt + 2 * pad - k) // stride + 1
+    hp, wp = h + 2 * pad, wdt + 2 * pad
+    xp = (np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                 constant_values=-np.inf) if pad else x)
+    best = np.full((bsz, c, ho, wo), -np.inf, dtype=x.dtype)
+    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32)
+    for i in range(k):
+        for j in range(k):
+            cand = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            better = cand > best
+            best = np.where(better, cand, best)
+            if i or j:
+                arg = np.where(better, np.int32(i * k + j), arg)
+
+    def rule(g):
+        ih, iw = np.divmod(arg.astype(np.int64), k)
+        rows = ih + np.arange(ho, dtype=np.int64)[:, None] * stride
+        cols_ = iw + np.arange(wo, dtype=np.int64)[None, :] * stride
+        flat = ((np.arange(bsz, dtype=np.int64)[:, None, None, None] * c
+                 + np.arange(c, dtype=np.int64)[None, :, None, None]) * hp + rows) * wp + cols_
+        dxp = np.bincount(flat.ravel(), weights=g.ravel(),
+                          minlength=bsz * c * hp * wp).reshape(bsz, c, hp, wp)
+        dxp = dxp.astype(g.dtype, copy=False)
+        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
+        return (np.ascontiguousarray(dx),)
+
+    return best, rule
+
+
+def ref_linear(x, w, b=None):
+    out = x @ w
+    if b is not None:
+        out = out + b
+    d_in, d_out = w.shape
+
+    def rule(g):
+        gf = g.reshape(-1, d_out)
+        dw = x.reshape(-1, d_in).T @ gf
+        dx = g @ w.T
+        if b is None:
+            return dx, dw
+        return dx, dw, gf.sum(axis=0)
+
+    return out, rule

@@ -83,7 +83,7 @@ def test_gradcheck_command_passes(capsys):
 def test_gradcheck_command_detects_broken_backward(monkeypatch, capsys):
     import numpy as np
     monkeypatch.setattr(cct.tensor, "_gelu_grad",
-                        lambda x: np.ones_like(x) * 0.123)
+                        lambda x, cdf: np.ones_like(x) * 0.123)
     rc = main(["gradcheck", "--instances", "2"])
     assert rc == 1
     out = capsys.readouterr().out

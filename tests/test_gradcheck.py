@@ -31,7 +31,7 @@ def test_rejects_float32():
 
 def test_broken_backward_rule_is_caught(monkeypatch):
     # negative control: corrupt one backward rule, the checker must flag it
-    monkeypatch.setattr(cct.tensor, "_gelu_grad", lambda x: np.ones_like(x) * 0.123)
+    monkeypatch.setattr(cct.tensor, "_gelu_grad", lambda x, cdf: np.ones_like(x) * 0.123)
     x = t64(np.random.default_rng(2).normal(size=(3, 3)) + 2.0)
     res = grad_check(gelu, [x], tol=1e-5)
     assert not res.ok

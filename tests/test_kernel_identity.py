@@ -1,0 +1,118 @@
+"""The fast elementwise kernels against their straightforward formulas.
+
+gelu, softmax_rows, layernorm, maxpool2d and linear work in place on as few
+buffers as they can. They must still give the same bytes, forward and
+backward, as the plain formulas in oracles.py, and their backward rules must
+leave the upstream gradient and every array the forward kept untouched.
+"""
+import numpy as np
+import pytest
+
+from cct.tensor import (Tensor, gelu, layernorm, linear, maxpool2d, no_grad,
+                        softmax_rows)
+
+from oracles import (ref_gelu, ref_layernorm, ref_linear, ref_maxpool2d,
+                     ref_softmax_rows)
+
+
+def f32(rng, *shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def transposed(rng, *shape):
+    """A float32 array of `shape` whose last two axes are a swapped view."""
+    a = f32(rng, *shape[:-2], shape[-1], shape[-2])
+    return np.swapaxes(a, -1, -2)
+
+
+def _case(name, rng):
+    """(fast op on Tensors, reference on arrays, float32 inputs)."""
+    if name == "gelu":
+        return gelu, ref_gelu, [f32(rng, 4, 64, 128)]
+    if name == "softmax_scale1":
+        return softmax_rows, ref_softmax_rows, [f32(rng, 2, 2, 64, 256) * 3]
+    if name == "softmax_scale0.125":
+        return ((lambda x: softmax_rows(x, scale=0.125)),
+                (lambda x: ref_softmax_rows(x, scale=0.125)),
+                [f32(rng, 2, 2, 64, 256) * 3])
+    if name == "layernorm":
+        return ((lambda x, g, b: layernorm(x, g, b, eps=1e-5)),
+                (lambda x, g, b: ref_layernorm(x, g, b, eps=1e-5)),
+                [f32(rng, 4, 64, 256) * 2 + 0.5, f32(rng, 256), f32(rng, 256)])
+    if name == "maxpool_post_relu":
+        # half the inputs are 0 after relu, so many windows tie at 0
+        x = np.maximum(f32(rng, 4, 8, 16, 16), np.float32(0))
+        return ((lambda x: maxpool2d(x, k=3, stride=2, pad=1)),
+                (lambda x: ref_maxpool2d(x, k=3, stride=2, pad=1)), [x])
+    if name == "linear_bias":
+        return linear, ref_linear, [f32(rng, 4, 64, 96), f32(rng, 96, 80), f32(rng, 80)]
+    if name == "linear_nobias":
+        return linear, ref_linear, [f32(rng, 4, 64, 96), f32(rng, 96, 80)]
+    if name == "linear_view_input":
+        return linear, ref_linear, [transposed(rng, 4, 64, 96), f32(rng, 96, 80)]
+    raise KeyError(name)
+
+
+CASES = ["gelu", "softmax_scale1", "softmax_scale0.125", "layernorm",
+         "maxpool_post_relu", "linear_bias", "linear_nobias", "linear_view_input"]
+
+
+def _run(name, seed, g_layout):
+    rng = np.random.default_rng(seed)
+    fast, ref, arrays = _case(name, rng)
+    out = fast(*[Tensor(a, requires_grad=True) for a in arrays])
+    want, want_rule = ref(*arrays)
+    g = f32(rng, *out.shape) if g_layout == "contiguous" else transposed(rng, *out.shape)
+    return out, want, want_rule, g
+
+
+@pytest.mark.parametrize("g_layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("name", CASES)
+def test_forward_and_rule_are_bit_identical_to_reference(name, g_layout):
+    out, want, want_rule, g = _run(name, 0, g_layout)
+    assert out.data.dtype == want.dtype == np.float32
+    assert out.data.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    got, expected = out._rule(g), want_rule(g)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_rule_writes_neither_g_nor_what_the_forward_kept(name):
+    out, _, _, g = _run(name, 1, "contiguous")
+    g_before, out_before = g.tobytes(), out.data.tobytes()
+    first = [a.tobytes() for a in out._rule(g)]
+    second = [a.tobytes() for a in out._rule(g)]
+    assert first == second
+    assert g.tobytes() == g_before
+    assert out.data.tobytes() == out_before
+
+
+def test_maxpool_under_no_grad_records_nothing_and_gives_same_bytes():
+    rng = np.random.default_rng(2)
+    x = np.maximum(f32(rng, 2, 4, 16, 16), np.float32(0))
+    with no_grad():
+        out = maxpool2d(Tensor(x, requires_grad=True), k=3, stride=2, pad=1)
+    assert out._rule is None and out._op is None and not out.requires_grad
+    assert out.data.tobytes() == ref_maxpool2d(x, 3, 2, 1)[0].tobytes()
+
+
+def test_maxpool_skips_nan_and_routes_grad_to_first_max():
+    x = np.array([[[[np.nan, 1.0, 1.0],
+                    [-np.inf, 2.0, 2.0],
+                    [np.nan, np.nan, np.nan]]]], dtype=np.float32)
+    out = maxpool2d(Tensor(x, requires_grad=True), k=3, stride=1)
+    want, want_rule = ref_maxpool2d(x, 3, 1, 0)
+    assert out.data.tobytes() == want.tobytes()
+    g = np.ones_like(out.data)
+    assert out._rule(g)[0].tobytes() == want_rule(g)[0].tobytes()
+    # a window whose max is -inf keeps slot 0 for the gradient, as before
+    y = np.array([[[[np.nan, -np.inf], [np.nan, -np.inf]]]], dtype=np.float32)
+    out = maxpool2d(Tensor(y, requires_grad=True), k=2, stride=1)
+    want, want_rule = ref_maxpool2d(y, 2, 1, 0)
+    g = np.ones_like(out.data)
+    assert out.data.tobytes() == want.tobytes()
+    assert out._rule(g)[0].tobytes() == want_rule(g)[0].tobytes()

@@ -154,6 +154,15 @@ def test_resume_rejects_optimizer_mismatch(data_dir, tmp_path):
             train(other, data_dir, tmp_path / "out2", resume_from=result["checkpoint"])
 
 
+def test_resume_of_a_finished_run_is_refused_before_touching_metrics(data_dir, tmp_path):
+    run = RunConfig(**{**TINY, "epochs": 2})
+    result = train(run, data_dir, tmp_path / "out")
+    before = open(result["metrics"], "rb").read()
+    with pytest.raises(ConfigError, match=r"epoch 2\b.*\b2 epochs"):
+        train(run, data_dir, tmp_path / "out", resume_from=result["checkpoint"])
+    assert open(result["metrics"], "rb").read() == before
+
+
 def test_resume_over_later_rows_keeps_one_pair_per_epoch(data_dir, tmp_path):
     run = RunConfig(**{**TINY, "epochs": 4, "checkpoint_every": 2})
     full = train(run, data_dir, tmp_path / "full")
