@@ -4,10 +4,20 @@ Ops record a graph as tensors are combined; backward() replays a
 topologically ordered tape once and accumulates gradients into leaf
 tensors. float32 is the working precision; float64 inputs stay float64
 so the gradient checker can run the same kernels at high precision.
+
+Threads: one pool of as many workers as this process has cores runs every
+large kernel, split over the leading (batch) axis; OpenBLAS is set to one
+thread at import so that it does not compete with that pool. No part ever
+splits a sum, so the bytes do not depend on the number of cores.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,6 +34,145 @@ class ConfigError(ValueError):
 
 class AutodiffError(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _pin_openblas() -> list:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    After each GEMM, OpenBLAS's own workers busy-wait on the cores that the
+    pool below needs. Returns (library path, setter name) per pinned library.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in f}
+    except OSError:
+        return []
+    pinned = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned.append((path, name))
+                break
+    return pinned
+
+
+_OPENBLAS = _pin_openblas()
+# An unpinned BLAS keeps its own threads, and the pool then stays at one.
+_WORKERS = len(os.sched_getaffinity(0)) if _OPENBLAS else 1
+_pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                           thread_name_prefix="cct-kernel")
+_in_part = threading.local()
+# Elements (or multiply-adds) one part must hold to be worth a thread handoff.
+_GRAIN = 1 << 15
+
+
+def _run_part(fn, rows) -> None:
+    _in_part.active = True
+    try:
+        fn(rows)
+    finally:
+        _in_part.active = False
+
+
+def _split(fn, n: int, row_work: int = 1, min_rows: int = 1) -> None:
+    """Run fn(rows) over contiguous slices of range(n), one per worker.
+
+    Each part has at least min_rows rows and _GRAIN work (row_work per row);
+    the calling thread does the first part itself. A split called inside a
+    part runs whole, so the pool cannot wait on itself.
+    """
+    parts = min(_WORKERS, n // max(1, min_rows), n * row_work // _GRAIN)
+    if parts < 2 or getattr(_in_part, "active", False):
+        fn(slice(0, n))
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    rest = [_pool.submit(_run_part, fn, slice(lo, hi))
+            for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        _run_part(fn, slice(0, bounds[1]))
+    finally:
+        wait(rest)  # the other parts write into the caller's arrays
+    for f in rest:
+        f.result()
+
+
+def _split_rows(fn, a: np.ndarray, sums: bool = False) -> None:
+    """_split over the leading axis of a; a 0-d array is one part.
+
+    A row sum adds in the order the row's memory layout sets, so a kernel
+    that sums last-axis rows laid out like a (sums=True) splits only a
+    C-contiguous a of two or more dims, whose parts lay out each row as the
+    whole does. Otherwise fn(...) runs once over everything.
+    """
+    if a.ndim == 0 or (sums and (a.ndim < 2 or not a.flags.c_contiguous)):
+        fn(...)
+    else:
+        n = a.shape[0]
+        _split(fn, n, a.size // max(1, n))
+
+
+def _empty_result(*operands, dtype=None) -> np.ndarray:
+    """An empty array laid out as numpy lays out an elementwise result of the
+    operands: in their shared axis order, or in C order where they differ."""
+    it = np.nditer((*operands, None), flags=["zerosize_ok"],
+                   op_flags=[["readonly"]] * len(operands) + [["writeonly", "allocate"]],
+                   op_dtypes=[None] * len(operands) + [dtype])
+    return it.operands[-1]
+
+
+# OpenBLAS runs a GEMM of at most 100**3 multiply-adds through its
+# small-matrix kernels, whose sums depend on the row count. A larger sgemm
+# gives the same bits for any split of its rows; on OpenBLAS 0.3.31 a dgemm
+# does not, so 2-D float64 products stay whole. tests/test_kernel_identity.py
+# checks the model's GEMMs byte for byte against unsplit OpenBLAS.
+_SMALL_GEMM = 100 ** 3
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
+    """a @ b (+ bias), each part of the output rows its own BLAS call.
+
+    A stacked product is split over its leading batch axis, so every matrix
+    is the same BLAS call as in one np.matmul. A 2-D one is split over rows
+    only where each part stays above the small-matrix kernels.
+    """
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
+    if len(shape) == 2:
+        # numpy computes a @ a.T as syrk and a one-row product as gemv
+        splittable = (out.dtype == np.float32 and min(m, k, n) > 1
+                      and not np.may_share_memory(a, b))
+        min_rows = max(2, _SMALL_GEMM // max(1, k * n) + 1) if splittable else m
+        split_a, split_b, row_work = True, False, k * n
+    else:
+        min_rows = 1
+        split_a = a.ndim == len(shape) and a.shape[0] == shape[0]
+        split_b = b.ndim == len(shape) and b.shape[0] == shape[0]
+        row_work = m * k * n * math.prod(shape[1:-2])
+
+    def part(rows):
+        np.matmul(a[rows] if split_a else a, b[rows] if split_b else b, out=out[rows])
+        if bias is not None:
+            out[rows] += bias
+
+    _split(part, shape[0], row_work, min_rows)
+    return out
 
 
 _ids = itertools.count()
@@ -203,16 +352,26 @@ def backward(loss: Tensor) -> None:
                 p.grad = np.array(pg, dtype=p.data.dtype) if p.grad is None else p.grad + pg
             else:
                 pid = p.node_id
-                flow[pid] = pg if pid not in flow else flow[pid] + pg
+                flow[pid] = pg if pid not in flow else _add(flow[pid], pg)
 
 
 # ---------------------------------------------------------------------------
 # elementwise / plumbing ops
 # ---------------------------------------------------------------------------
 
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y; two C-contiguous arrays of one shape and dtype add in row parts."""
+    if (x.shape != y.shape or x.dtype != y.dtype
+            or not (x.flags.c_contiguous and y.flags.c_contiguous)):
+        return x + y
+    out = np.empty_like(x)
+    _split_rows(lambda r: np.add(x[r], y[r], out=out[r]), x)
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = a.data + b.data
+        out = _add(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from e
 
@@ -278,13 +437,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}")
     try:
-        out = a.data @ b.data
+        out = _gemm(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}") from e
 
     def rule(g):
-        da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        da = _unbroadcast(_gemm(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        db = _unbroadcast(_gemm(np.swapaxes(a.data, -1, -2), g), b.shape)
         return da, db
 
     return _record("matmul", out, (a, b), rule)
@@ -298,15 +457,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
     d_in, d_out = w.shape
     # one (B*L, d_in) GEMM instead of one per leading index
-    out = x.data.reshape(-1, d_in) @ w.data
-    if b is not None:
-        out += b.data
+    out = _gemm(x.data.reshape(-1, d_in), w.data, None if b is None else b.data)
     out = out.reshape(x.shape[:-1] + (d_out,))
 
     def rule(g):
         gf = g.reshape(-1, d_out)
-        dw = x.data.reshape(-1, d_in).T @ gf
-        dx = (gf @ w.data.T).reshape(x.shape)
+        dw = _gemm(x.data.reshape(-1, d_in).T, gf)  # split over d_in
+        dx = _gemm(gf, w.data.T).reshape(x.shape)
         if b is None:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
@@ -319,10 +476,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
+    x = a.data
+    out = np.empty_like(x)
+    _split_rows(lambda r: np.maximum(x[r], 0, out=out[r]), x)
 
     def rule(g):
-        return (g * (a.data > 0),)  # subgradient 0 at 0
+        d = _empty_result(g, x, dtype=g.dtype)
+        _split_rows(lambda r: np.multiply(g[r], x[r] > 0, out=d[r]), d)
+        return (d,)  # subgradient 0 at 0
 
     return _record("relu", out, (a,), rule)
 
@@ -342,12 +503,19 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    cdf = ndtr(a.data)  # kept for the backward: ndtr is the costly part
-    out = a.data * cdf  # exact x * Phi(x), no tanh fit
+    x = a.data
+    cdf = np.empty_like(x)  # kept for the backward: ndtr is the costly part
+    out = np.empty_like(x)
+
+    def forward(r):
+        ndtr(x[r], out=cdf[r])
+        np.multiply(x[r], cdf[r], out=out[r])  # exact x * Phi(x), no tanh fit
+
+    _split_rows(forward, x)
 
     def rule(g):
-        d = _gelu_grad(a.data, cdf)
-        np.multiply(g, d, out=d)
+        d = np.empty_like(x)
+        _split_rows(lambda r: np.multiply(g[r], _gelu_grad(x[r], cdf[r]), out=d[r]), x)
         return (d,)
 
     return _record("gelu", out, (a,), rule)
@@ -370,23 +538,37 @@ def activation(kind: str, x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     """Softmax over the last axis of scale * x, max-shifted for stability."""
-    # shift, exp and normalise in place on one buffer
-    if scale != 1.0:
-        s = x.data * scale
-        s -= s.max(axis=-1, keepdims=True)
-    else:
-        s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    xd = x.data
+    s = np.empty_like(xd)
+
+    def forward(r):
+        # shift, exp and normalise in place on one buffer
+        sr = s[r]
+        if scale != 1.0:
+            np.multiply(xd[r], scale, out=sr)
+            sr -= sr.max(axis=-1, keepdims=True)
+        else:
+            np.subtract(xd[r], xd[r].max(axis=-1, keepdims=True), out=sr)
+        np.exp(sr, out=sr)
+        sr /= sr.sum(axis=-1, keepdims=True)
+
+    _split_rows(forward, xd, sums=True)
 
     def rule(g):
-        # one buffer holds g * s, then g - dot, then s * (g - dot), then * scale
-        dz = g * s
-        dot = dz.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=dz)
-        np.multiply(s, dz, out=dz)
-        if scale != 1.0:
-            dz *= scale
+        # one buffer, laid out like g, holds g * s, then g - dot, then
+        # s * (g - dot), then * scale
+        dz = _empty_result(g, s)
+
+        def backward(r):
+            dzr = dz[r]
+            np.multiply(g[r], s[r], out=dzr)
+            dot = dzr.sum(axis=-1, keepdims=True)
+            np.subtract(g[r], dot, out=dzr)
+            np.multiply(s[r], dzr, out=dzr)
+            if scale != 1.0:
+                dzr *= scale
+
+        _split_rows(backward, dz, sums=True)
         return (dz,)
 
     return _record("softmax_rows", s, (x,), rule)
@@ -397,27 +579,43 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm: gamma {gamma.shape} / beta {beta.shape} "
                          f"do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    out = np.multiply(xhat, xhat)  # (x - mu)^2 first, the output after
-    var = out.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
+    xd, gd, bd = x.data, gamma.data, beta.data
+    xhat = np.empty_like(xd)
+    out = np.empty_like(xd)  # (x - mu)^2 first, the output after
+    inv = np.empty(xd.shape[:-1] + (1,), dtype=np.result_type(xd, 1.0))
+
+    def forward(r):
+        xr, xhr, outr = xd[r], xhat[r], out[r]
+        np.subtract(xr, xr.mean(axis=-1, keepdims=True), out=xhr)
+        np.multiply(xhr, xhr, out=outr)
+        var = outr.mean(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + eps), out=inv[r])
+        xhr *= inv[r]
+        np.multiply(xhr, gd, out=outr)
+        outr += bd
+
+    _split_rows(forward, xd, sums=True)
 
     def rule(g):
-        gh = g * gamma.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        t = gh * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
-        np.multiply(g, xhat, out=t)
+        gh = _empty_result(g, gd)
+        t = _empty_result(gh, xhat)
+
+        def backward(r):
+            ghr, tr, xhr = gh[r], t[r], xhat[r]
+            np.multiply(g[r], gd, out=ghr)
+            m1 = ghr.mean(axis=-1, keepdims=True)
+            np.multiply(ghr, xhr, out=tr)
+            m2 = tr.mean(axis=-1, keepdims=True)
+            ghr -= m1
+            np.multiply(xhr, m2, out=tr)
+            ghr -= tr
+            np.multiply(inv[r], ghr, out=ghr)  # dx = inv * (gh - m1 - xhat * m2)
+            np.multiply(g[r], xhr, out=tr)
+
+        _split_rows(backward, gh, sums=True)
+        # the sums over rows stay whole, in their one order
         dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        gh -= m1
-        np.multiply(xhat, m2, out=t)
-        gh -= t
-        np.multiply(inv, gh, out=gh)  # dx = inv * (gh - m1 - xhat * m2)
         return gh, dgamma, dbeta
 
     return _record("layernorm", out, (x, gamma, beta), rule)
@@ -476,17 +674,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     cols = _im2col(xp, k, stride, ho, wo)        # (B, ho*wo, cin*k*k)
     wmat = w.data.reshape(cout, -1)
-    out = cols @ wmat.T + b.data                 # (B, ho*wo, cout)
+    out = _gemm(cols, wmat.T, b.data)            # (B, ho*wo, cout)
     out = out.transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
 
     def rule(g):
         gf = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)   # (B, P, cout)
         db = gf.sum(axis=(0, 1))
-        dw = (gf.reshape(-1, cout).T @ cols.reshape(-1, cin * k * k)).reshape(w.shape)
-        dcols = gf @ wmat                                       # (B, P, cin*k*k)
-        dxp = _col2im(dcols, (bsz, cin, h + 2 * pad, wdt + 2 * pad), k, stride, ho, wo)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-        return np.ascontiguousarray(dx), dw, db
+        gflat = np.empty((bsz, ho * wo, cout), dtype=g.dtype)  # gf, C-contiguous
+
+        def copy(r):
+            gflat[r] = gf[r]
+
+        _split_rows(copy, gflat)
+        dw = _gemm(gflat.reshape(-1, cout).T, cols.reshape(-1, cin * k * k)).reshape(w.shape)
+        dcols = _gemm(gf, wmat)                                 # (B, P, cin*k*k)
+        dx = np.empty(x.shape, dtype=dcols.dtype)
+
+        def col2im(r):
+            dxp = _col2im(dcols[r], (len(dx[r]), cin, h + 2 * pad, wdt + 2 * pad),
+                          k, stride, ho, wo)
+            dx[r] = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
+
+        _split_rows(col2im, dx)
+        return dx, dw, db
 
     return _record("conv2d", out, (x, w, b), rule)
 
@@ -508,37 +718,53 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
     wo = (wdt + 2 * pad - k) // stride + 1
     hp, wp = h + 2 * pad, wdt + 2 * pad
 
-    xp = (np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                 constant_values=-np.inf) if pad else x.data)
-    windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-               for i in range(k) for j in range(k)]
-    best = np.full((bsz, c, ho, wo), -np.inf, dtype=x.dtype)
-    for cand in windows:
-        np.fmax(best, cand, out=best)  # skips NaN, as a strict > does
-    if not _recording((x,)):
-        return _record("maxpool2d", best, (x,), None)
+    recording = _recording((x,))
+    best = np.empty((bsz, c, ho, wo), dtype=x.dtype)
     # arg is the first window slot (row-major) that holds the max; a window
     # whose max is -inf keeps slot 0
-    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32)
-    todo = best > -np.inf
-    for idx, cand in enumerate(windows):
-        hit = cand == best
-        hit &= todo
-        todo ^= hit
-        if idx:
-            arg += hit * np.int32(idx)
+    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32) if recording else None
+
+    def forward(r):
+        xp = (np.pad(x.data[r], ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                     constant_values=-np.inf) if pad else x.data[r])
+        windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                   for i in range(k) for j in range(k)]
+        top = best[r]
+        top.fill(-np.inf)
+        for cand in windows:
+            np.fmax(top, cand, out=top)  # skips NaN, as a strict > does
+        if not recording:
+            return
+        slot = arg[r]
+        todo = top > -np.inf
+        for idx, cand in enumerate(windows):
+            hit = cand == top
+            hit &= todo
+            todo ^= hit
+            if idx:
+                slot += hit * np.int32(idx)
+
+    _split_rows(forward, best)
+    if not recording:
+        return _record("maxpool2d", best, (x,), None)
 
     def rule(g):
-        ih, iw = np.divmod(arg.astype(np.int64), k)
-        rows = ih + np.arange(ho, dtype=np.int64)[:, None] * stride
-        cols_ = iw + np.arange(wo, dtype=np.int64)[None, :] * stride
-        flat = ((np.arange(bsz, dtype=np.int64)[:, None, None, None] * c
-                 + np.arange(c, dtype=np.int64)[None, :, None, None]) * hp + rows) * wp + cols_
-        dxp = np.bincount(flat.ravel(), weights=g.ravel(),
-                          minlength=bsz * c * hp * wp).reshape(bsz, c, hp, wp)
-        dxp = dxp.astype(g.dtype, copy=False)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-        return (np.ascontiguousarray(dx),)
+        dx = np.empty(x.shape, dtype=g.dtype)
+
+        def backward(r):
+            nb = len(dx[r])
+            ih, iw = np.divmod(arg[r].astype(np.int64), k)
+            rows = ih + np.arange(ho, dtype=np.int64)[:, None] * stride
+            cols_ = iw + np.arange(wo, dtype=np.int64)[None, :] * stride
+            flat = ((np.arange(nb, dtype=np.int64)[:, None, None, None] * c
+                     + np.arange(c, dtype=np.int64)[None, :, None, None]) * hp + rows) * wp + cols_
+            # bincount sums in float64, and holds the GIL while it does
+            dxp = np.bincount(flat.ravel(), weights=g[r].ravel(),
+                              minlength=nb * c * hp * wp).reshape(nb, c, hp, wp)
+            dx[r] = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
+
+        _split_rows(backward, dx)
+        return (dx,)
 
     return _record("maxpool2d", best, (x,), rule)
 

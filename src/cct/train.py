@@ -202,6 +202,8 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
                 top1_sum += t1 * b
                 top5_sum += t5 * b
                 total += b
+                # drop this step's graph before the next forward builds one
+                del logits, loss
             train_time = time.perf_counter() - t0
             writer.write(MetricsRow(
                 epoch=epoch, step=step, split="train", loss=loss_sum / total,
@@ -279,6 +281,8 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
         adamw_step(params, {k: t.grad for k, t in params.items()}, state, hp)
         if step % 25 == 0:
             say(f"step {step}: loss {loss.item():.4f}, top1 {top1:.1f}%")
+        # drop this step's graph before the next forward builds one
+        del logits, loss
     return {"reached": reached_at is not None, "steps": reached_at,
             "top1": history[-1][1], "history": history,
             "params": params, "cfg": cfg}

@@ -217,3 +217,68 @@ def ref_linear(x, w, b=None):
         return dx, dw, gf.sum(axis=0)
 
     return out, rule
+
+
+def ref_relu(x):
+    def rule(g):
+        return (g * (x > 0),)
+
+    return np.maximum(x, 0), rule
+
+
+def ref_add(a, b):
+    def rule(g):
+        return g, g
+
+    return a + b, rule
+
+
+def _sum_to(g, shape):
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    return g
+
+
+def ref_matmul(a, b):
+    """a @ b with numpy broadcasting over the leading (batch) dims; a rule
+    that sums the batch axes an operand was broadcast over."""
+    def rule(g):
+        da = _sum_to(g @ np.swapaxes(b, -1, -2), a.shape)
+        db = _sum_to(np.swapaxes(a, -1, -2) @ g, b.shape)
+        return da, db
+
+    return a @ b, rule
+
+
+def ref_conv2d(x, w, b, stride, pad):
+    """im2col cross-correlation: one (ho*wo, cin*k*k) @ (cin*k*k, cout)
+    product per image."""
+    bsz, cin, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wdt + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((bsz, ho, wo, cin, k, k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[..., i, j] = xp[:, :, i:i + stride * ho:stride,
+                                 j:j + stride * wo:stride].transpose(0, 2, 3, 1)
+    cols = cols.reshape(bsz, ho * wo, cin * k * k)
+    wmat = w.reshape(cout, -1)
+    out = (cols @ wmat.T + b).transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
+
+    def rule(g):
+        gf = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)
+        db = gf.sum(axis=(0, 1))
+        dw = (np.ascontiguousarray(gf).reshape(-1, cout).T
+              @ cols.reshape(-1, cin * k * k)).reshape(w.shape)
+        dc = (gf @ wmat).reshape(bsz, ho, wo, cin, k, k)
+        dxp = np.zeros((bsz, cin, h + 2 * pad, wdt + 2 * pad), dtype=dc.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                    dc[..., i, j].transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wdt]), dw, db
+
+    return out, rule

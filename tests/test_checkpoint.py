@@ -143,7 +143,8 @@ def test_save_over_a_checkpoint_closes_the_replaced_file(tmp_path):
     for epoch in range(2, 5):
         save_checkpoint(path, CFG, _params(), seed=3, epoch=epoch)
     for t in threading.enumerate():
-        if t is not threading.current_thread():
+        # the kernel pool's idle workers live as long as the process
+        if t is not threading.current_thread() and not t.name.startswith("cct-kernel"):
             t.join(timeout=10)
     assert len(os.listdir("/proc/self/fd")) == before
     assert load_checkpoint(path).epoch == 4

@@ -1,18 +1,26 @@
-"""The fast elementwise kernels against their straightforward formulas.
+"""The fast kernels against their straightforward formulas.
 
 gelu, softmax_rows, layernorm, maxpool2d and linear work in place on as few
-buffers as they can. They must still give the same bytes, forward and
-backward, as the plain formulas in oracles.py, and their backward rules must
-leave the upstream gradient and every array the forward kept untouched.
+buffers as they can, and every large kernel splits its rows over the thread
+pool. They must still give the same bytes, forward and backward, as the
+plain formulas in oracles.py, and their backward rules must leave the
+upstream gradient and every array the forward kept untouched.
 """
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cct.tensor import (Tensor, gelu, layernorm, linear, maxpool2d, no_grad,
-                        softmax_rows)
+from cct import tensor
+from cct.tensor import (Tensor, add, conv2d, gelu, layernorm, linear, matmul,
+                        maxpool2d, no_grad, relu, softmax_rows)
 
-from oracles import (ref_gelu, ref_layernorm, ref_linear, ref_maxpool2d,
-                     ref_softmax_rows)
+import desk_gemms
+from oracles import (ref_add, ref_conv2d, ref_gelu, ref_layernorm, ref_linear,
+                     ref_matmul, ref_maxpool2d, ref_relu, ref_softmax_rows)
 
 
 def f32(rng, *shape):
@@ -116,3 +124,116 @@ def test_maxpool_skips_nan_and_routes_grad_to_first_max():
     g = np.ones_like(out.data)
     assert out.data.tobytes() == want.tobytes()
     assert out._rule(g)[0].tobytes() == want_rule(g)[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the split path: every kernel split over its leading axis
+# ---------------------------------------------------------------------------
+
+def _arr(rng, dtype, *shape):
+    return rng.standard_normal(shape).astype(dtype)
+
+
+def _split_case(name, rng, n, dt):
+    """(fast op, reference, inputs) with leading dim n."""
+    if name == "gelu":
+        return gelu, ref_gelu, [_arr(rng, dt, n, 16, 24)]
+    if name.startswith("softmax"):
+        scale = float(name.split("_")[1])
+        return ((lambda x: softmax_rows(x, scale=scale)),
+                (lambda x: ref_softmax_rows(x, scale=scale)),
+                [_arr(rng, dt, n, 2, 8, 16) * 3])
+    if name == "layernorm":
+        return ((lambda x, g, b: layernorm(x, g, b, eps=1e-5)),
+                (lambda x, g, b: ref_layernorm(x, g, b, eps=1e-5)),
+                [_arr(rng, dt, n, 8, 32) * 2 + 0.5, _arr(rng, dt, 32), _arr(rng, dt, 32)])
+    if name == "maxpool2d":
+        x = np.maximum(_arr(rng, dt, n, 4, 8, 8), 0)
+        return ((lambda x: maxpool2d(x, k=3, stride=2, pad=1)),
+                (lambda x: ref_maxpool2d(x, 3, 2, 1)), [x])
+    if name == "relu":
+        return relu, ref_relu, [_arr(rng, dt, n, 4, 8, 8)]
+    if name == "add":
+        return add, ref_add, [_arr(rng, dt, n, 8, 16), _arr(rng, dt, n, 8, 16)]
+    if name == "linear":
+        return linear, ref_linear, [_arr(rng, dt, n, 8, 24), _arr(rng, dt, 24, 20),
+                                    _arr(rng, dt, 20)]
+    if name == "matmul_stacked":
+        return matmul, ref_matmul, [_arr(rng, dt, n, 2, 8, 12), _arr(rng, dt, n, 2, 12, 10)]
+    if name == "matmul_shared_lhs":  # the W_A token mix
+        return matmul, ref_matmul, [_arr(rng, dt, 16, 16), _arr(rng, dt, n, 16, 12)]
+    if name == "conv2d":
+        return ((lambda x, w, b: conv2d(x, w, b, stride=1, pad=1)),
+                (lambda x, w, b: ref_conv2d(x, w, b, 1, 1)),
+                [_arr(rng, dt, n, 3, 8, 8), _arr(rng, dt, 6, 3, 3, 3), _arr(rng, dt, 6)])
+    raise KeyError(name)
+
+
+SPLIT_CASES = ["gelu", "softmax_1.0", "softmax_0.125", "layernorm", "maxpool2d",
+               "relu", "add", "linear", "matmul_stacked", "matmul_shared_lhs", "conv2d"]
+
+
+def _fast(name, n, dtype, g_layout, workers, monkeypatch):
+    """Forward output and rule outputs of the fast op with `workers` parts
+    and no grain, so that every leading dim of 2 or more is split."""
+    monkeypatch.setattr(tensor, "_WORKERS", workers)
+    monkeypatch.setattr(tensor, "_GRAIN", 1)
+    rng = np.random.default_rng(n)
+    fast, ref, arrays = _split_case(name, rng, n, dtype)
+    out = fast(*[Tensor(a, requires_grad=True) for a in arrays])
+    g = _arr(rng, dtype, *out.shape)
+    if g_layout == "transposed":
+        g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+    return out.data, out._rule(g), ref, arrays, g
+
+
+@pytest.mark.parametrize("g_layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3, 8, 32])
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_kernel_matches_reference_and_whole_run(name, n, dtype, g_layout, monkeypatch):
+    whole, whole_rule, _, _, _ = _fast(name, n, dtype, g_layout, 1, monkeypatch)
+    out, got, ref, arrays, g = _fast(name, n, dtype, g_layout, 4, monkeypatch)
+    want, want_rule = ref(*arrays)
+    assert out.dtype == want.dtype == dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    expected = want_rule(g)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    # the split run also lays out every array as the whole run does, so that
+    # later kernels see the same memory order
+    assert out.strides == whole.strides
+    assert [a.strides for a in got] == [a.strides for a in whole_rule]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in whole_rule]
+
+
+def test_desk_gemms_match_numpy_with_openblas_threads():
+    """Every GEMM of the desk model, through _gemm's row and batch split,
+    gives the bytes that numpy gives in a process where OpenBLAS keeps its
+    own thread count, as it did before the pool existed."""
+    batches = (1, 8, 32, 256)
+    script = Path(desk_gemms.__file__)
+    child = subprocess.run([sys.executable, str(script), *map(str, batches)],
+                           capture_output=True, text=True, check=True, timeout=600)
+    want = json.loads(child.stdout)
+    got = {f"{b}/{name}": desk_gemms.digest(tensor._gemm(a, m))
+           for b in batches for name, a, m in desk_gemms.cases(b)}
+    assert got.keys() == want.keys()
+    assert [k for k in got if got[k] != want[k]] == []
+
+
+@pytest.mark.parametrize("name", ["softmax_rows", "layernorm"])
+def test_a_one_dim_row_kernel_runs_its_only_row_whole(name, monkeypatch):
+    monkeypatch.setattr(tensor, "_WORKERS", 4)
+    monkeypatch.setattr(tensor, "_GRAIN", 1)
+    rng = np.random.default_rng(5)
+    x, gamma, beta, g = (_arr(rng, np.float32, 64) for _ in range(4))
+    if name == "softmax_rows":
+        out, (want, want_rule) = softmax_rows(Tensor(x, requires_grad=True)), ref_softmax_rows(x)
+    else:
+        out = layernorm(*(Tensor(a, requires_grad=True) for a in (x, gamma, beta)))
+        want, want_rule = ref_layernorm(x, gamma, beta, eps=1e-5)
+    assert out.data.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in out._rule(g)] == [a.tobytes() for a in want_rule(g)]

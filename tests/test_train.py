@@ -1,6 +1,7 @@
 """Training driver, config files, resume, evaluation, overfit probe."""
 import dataclasses
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cct.checkpoint import load_checkpoint
 from cct.data import synthetic_dataset, write_records
 from cct.metrics import read_metrics
+import cct.train
 from cct.tensor import ConfigError
 from cct.train import (
     RunConfig,
@@ -230,3 +232,37 @@ def test_overfit_reaches_target_quickly():
 def test_overfit_uses_dataset_when_present(data_dir):
     result = overfit(n=16, steps=120, seed=0, data_dir=data_dir)
     assert result["reached"]
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def graphs_alive_at_forward(monkeypatch):
+    """For each forward call, whether an earlier train step's logits, and so
+    its whole graph, is still alive."""
+    real, earlier, alive = cct.train.forward, [], []
+
+    def spy(*args, **kwargs):
+        alive.append(any(ref() is not None for ref in earlier))
+        logits = real(*args, **kwargs)
+        if kwargs.get("training"):
+            earlier.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(cct.train, "forward", spy)
+    return alive
+
+
+def test_train_drops_each_step_graph_before_the_next_forward(
+        data_dir, tmp_path, graphs_alive_at_forward):
+    train(RunConfig(**{**TINY, "batch_size": 16}), data_dir, tmp_path / "run")
+    assert len(graphs_alive_at_forward) == 4 + 1  # four train steps, one eval batch
+    assert not any(graphs_alive_at_forward)
+
+
+def test_overfit_drops_each_step_graph_before_the_next_forward(graphs_alive_at_forward):
+    overfit(n=8, steps=3, seed=0, target=101.0)
+    assert len(graphs_alive_at_forward) == 3
+    assert not any(graphs_alive_at_forward)
