@@ -62,7 +62,7 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(nb)
     f.write(struct.pack("<BB", code, arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes())
+    f.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]))  # no bytes copy
 
 
 def _read_exact(f, n: int) -> bytes:

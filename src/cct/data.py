@@ -7,6 +7,7 @@ red, 1024 green, 1024 blue), each plane row-major 32x32.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -116,14 +117,37 @@ def write_records(path, records) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
+# Records per block of the per-channel value counts: a block's temporaries
+# (one channel's pixels and bincount's int64 copy) stay far below the split.
+_STATS_BLOCK = 128
+
+
 def compute_norm_stats(records) -> NormStats:
     """Per-channel mean/std of pixel values scaled to [0,1]; zero std is
-    clamped to 1 so constant channels stay finite."""
+    clamped to 1 so constant channels stay finite.
+
+    Both come from exact per-channel counts of the 256 pixel values, so no
+    float copy of the split is made. The mean is the exact sum over the
+    count, rounded once, as numpy's float64 mean gives it; the variance is
+    exact before its one rounding.
+    """
     if not len(records):
         raise DataError("compute_norm_stats: no records")
-    arr = records.array["pixels"].reshape(len(records), 3, -1)
-    mean = arr.mean(axis=(0, 2), dtype=np.float64) / 255.0
-    std = arr.std(axis=(0, 2), dtype=np.float64) / 255.0
+    pixels = records.array["pixels"].reshape(len(records), 3, -1)
+    counts = np.zeros((3, 256), dtype=np.int64)
+    for lo in range(0, len(pixels), _STATS_BLOCK):
+        for c in range(3):
+            counts[c] += np.bincount(pixels[lo:lo + _STATS_BLOCK, c].ravel(),
+                                     minlength=256)
+    mean, std = [], []
+    for per_value in counts.tolist():  # Python ints: no overflow below
+        n = sum(per_value)
+        s = sum(v * k for v, k in enumerate(per_value))
+        sq = sum(v * v * k for v, k in enumerate(per_value))
+        mean.append(s / n)
+        std.append(math.sqrt((n * sq - s * s) / (n * n)))
+    mean = np.array(mean) / 255.0
+    std = np.array(std) / 255.0
     std = np.where(std < 1e-8, 1.0, std)
     return NormStats(mean=mean, std=std)
 

@@ -13,9 +13,9 @@ import numpy as np
 from .attention import (AttentionConfig, AttentionParams, attention_forward,
                         attention_param_count, init_attention_params)
 from .seeding import stream
-from .tensor import (ConfigError, ShapeError, Tensor, conv2d, dropout, gelu,
-                     layernorm, linear, matmul, maxpool2d, relu, softmax_rows,
-                     transpose)
+from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
+                     gelu, layernorm, linear, map_chunks, matmul, maxpool2d,
+                     relu, softmax_rows, transpose)
 
 __all__ = [
     "ModelConfig", "ParameterSet", "init_params", "canonical_param_names",
@@ -211,18 +211,17 @@ def tokenize(images: Tensor, params: ParameterSet, cfg: ModelConfig) -> Tensor:
     return tokens
 
 
-def _branch_dropout(x: Tensor, cfg: ModelConfig, training: bool,
-                    dropout_seed: int, layer_idx: int, branch: int) -> Tensor:
+def _branch_dropout(x: Tensor, cfg: ModelConfig, training: bool, dropout_seed: int,
+                    chunk: int, layer_idx: int, branch: int) -> Tensor:
     if not training or cfg.dropout_p == 0.0:
         return x
-    seed = int(np.random.SeedSequence(
-        [4, dropout_seed, layer_idx, branch]).generate_state(1)[0])
-    return dropout(x, cfg.dropout_p, training=True, seed=seed)
+    rng = stream("dropout", cfg.seed, dropout_seed, chunk, layer_idx, branch)
+    return dropout(x, cfg.dropout_p, training=True, seed=rng)
 
 
 def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
                   layer_idx: int, training: bool = False,
-                  dropout_seed: int = 0) -> Tensor:
+                  dropout_seed: int = 0, chunk: int = 0) -> Tensor:
     if x.ndim != 3 or x.shape[1] != cfg.ctx_len or x.shape[2] != cfg.d_model:
         raise ShapeError(f"encoder_block: input {x.shape} does not match "
                          f"(B, {cfg.ctx_len}, {cfg.d_model})")
@@ -231,11 +230,11 @@ def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
     a = attention_forward(
         layernorm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"], eps),
         _layer_attn_params(params, cfg, i), cfg.attn_config())
-    x = x + _branch_dropout(a, cfg, training, dropout_seed, i, 0)
+    x = x + _branch_dropout(a, cfg, training, dropout_seed, chunk, i, 0)
     h = layernorm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"], eps)
     m = linear(gelu(linear(h, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])),
                params[f"layer{i}.mlp.w2"], params[f"layer{i}.mlp.b2"])
-    return x + _branch_dropout(m, cfg, training, dropout_seed, i, 1)
+    return x + _branch_dropout(m, cfg, training, dropout_seed, chunk, i, 1)
 
 
 def seq_pool(x: Tensor, g: Tensor) -> Tensor:
@@ -248,10 +247,12 @@ def seq_pool(x: Tensor, g: Tensor) -> Tensor:
 
 
 def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig,
-                   training: bool = False, dropout_seed: int = 0) -> Tensor:
+                   training: bool = False, dropout_seed: int = 0,
+                   chunk: int = 0) -> Tensor:
+    """Encoder stack, seq pool and head over one graph; `chunk` keys dropout."""
     x = tokens
     for i in range(cfg.n_layers):
-        x = encoder_block(x, params, cfg, i, training, dropout_seed)
+        x = encoder_block(x, params, cfg, i, training, dropout_seed, chunk)
     x = layernorm(x, params["final_ln.g"], params["final_ln.b"], cfg.layernorm_eps)
     pooled = seq_pool(x, params["seqpool.g"])
     return linear(pooled, params["head.w"], params["head.b"])
@@ -259,8 +260,17 @@ def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig,
 
 def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
             training: bool = False, dropout_seed: int = 0) -> Tensor:
-    return forward_tokens(tokenize(images, params, cfg), params, cfg,
-                          training, dropout_seed)
+    """Logits for a batch, one graph per CHUNK images on the chunk pool.
+
+    Dropout masks are keyed by (cfg.seed, dropout_seed, chunk, layer, branch),
+    so they depend on the batch and not on the number of cores.
+    """
+    def chunk_logits(x, c):
+        return forward_tokens(tokenize(x, params, cfg), params, cfg,
+                              training, dropout_seed, c)
+
+    return map_chunks(chunk_logits, images, params.tensors(),
+                      work=CHUNK * cfg.ctx_len * cfg.d_model)
 
 
 def model_param_count(cfg: ModelConfig) -> dict:

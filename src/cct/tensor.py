@@ -5,16 +5,18 @@ topologically ordered tape once and accumulates gradients into leaf
 tensors. float32 is the working precision; float64 inputs stay float64
 so the gradient checker can run the same kernels at high precision.
 
-Threads: one pool of as many workers as this process has cores runs every
-large kernel, split over the leading (batch) axis; OpenBLAS is set to one
-thread at import so that it does not compete with that pool. No part ever
-splits a sum, so the bytes do not depend on the number of cores.
+Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
+chunk per pool worker, and records the result as one op; its backward runs
+each chunk's reverse sweep on the pool and adds the chunks' gradients in
+chunk order. Every kernel runs whole on the thread that calls it, and
+OpenBLAS is set to one thread at import so that it does not compete with the
+pool. Chunk boundaries and the order of the sum depend only on the batch, so
+the bytes do not depend on the number of cores.
 """
 from __future__ import annotations
 
 import ctypes
 import itertools
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -72,107 +74,47 @@ def _pin_openblas() -> list:
     return pinned
 
 
+def _one_malloc_arena() -> bool:
+    """Have glibc's malloc serve every thread from its main arena.
+
+    A pool worker would otherwise get an arena of its own, which keeps much
+    of the memory that the chunk graphs free. Must run before the pool's
+    threads start; returns whether glibc took the setting.
+    """
+    try:
+        return ctypes.CDLL(None).mallopt(-8, 1) == 1  # M_ARENA_MAX = 1
+    except (OSError, AttributeError):  # not glibc
+        return False
+
+
 _OPENBLAS = _pin_openblas()
+_ONE_ARENA = _one_malloc_arena()
 # An unpinned BLAS keeps its own threads, and the pool then stays at one.
 _WORKERS = len(os.sched_getaffinity(0)) if _OPENBLAS else 1
-_pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
-                           thread_name_prefix="cct-kernel")
-_in_part = threading.local()
-# Elements (or multiply-adds) one part must hold to be worth a thread handoff.
+_local = threading.local()
+_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="cct-chunk",
+                           initializer=lambda: setattr(_local, "worker", True))
+# Samples per chunk: the unit of parallel work and of the gradient sum.
+CHUNK = 4
+# Activation elements one chunk must hold to be worth a thread handoff. At
+# about 2**13 two workers ran a step no faster than one; 2**15 also keeps
+# d=16 models inline, whose spans perfbench's tracer can attribute only when
+# one thread records them.
 _GRAIN = 1 << 15
 
 
-def _run_part(fn, rows) -> None:
-    _in_part.active = True
-    try:
-        fn(rows)
-    finally:
-        _in_part.active = False
+def run_chunks(fn, n: int, work: int) -> list:
+    """[fn(0), ..., fn(n - 1)], one call per pool worker at a time.
 
-
-def _split(fn, n: int, row_work: int = 1, min_rows: int = 1) -> None:
-    """Run fn(rows) over contiguous slices of range(n), one per worker.
-
-    Each part has at least min_rows rows and _GRAIN work (row_work per row);
-    the calling thread does the first part itself. A split called inside a
-    part runs whole, so the pool cannot wait on itself.
+    The calls run inline when there is one chunk or one worker, when a chunk
+    holds less than _GRAIN work, or on a pool worker, so that the pool never
+    waits on itself. Every call ends before the first failure is raised.
     """
-    parts = min(_WORKERS, n // max(1, min_rows), n * row_work // _GRAIN)
-    if parts < 2 or getattr(_in_part, "active", False):
-        fn(slice(0, n))
-        return
-    bounds = [n * i // parts for i in range(parts + 1)]
-    rest = [_pool.submit(_run_part, fn, slice(lo, hi))
-            for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        _run_part(fn, slice(0, bounds[1]))
-    finally:
-        wait(rest)  # the other parts write into the caller's arrays
-    for f in rest:
-        f.result()
-
-
-def _split_rows(fn, a: np.ndarray, sums: bool = False) -> None:
-    """_split over the leading axis of a; a 0-d array is one part.
-
-    A row sum adds in the order the row's memory layout sets, so a kernel
-    that sums last-axis rows laid out like a (sums=True) splits only a
-    C-contiguous a of two or more dims, whose parts lay out each row as the
-    whole does. Otherwise fn(...) runs once over everything.
-    """
-    if a.ndim == 0 or (sums and (a.ndim < 2 or not a.flags.c_contiguous)):
-        fn(...)
-    else:
-        n = a.shape[0]
-        _split(fn, n, a.size // max(1, n))
-
-
-def _empty_result(*operands, dtype=None) -> np.ndarray:
-    """An empty array laid out as numpy lays out an elementwise result of the
-    operands: in their shared axis order, or in C order where they differ."""
-    it = np.nditer((*operands, None), flags=["zerosize_ok"],
-                   op_flags=[["readonly"]] * len(operands) + [["writeonly", "allocate"]],
-                   op_dtypes=[None] * len(operands) + [dtype])
-    return it.operands[-1]
-
-
-# OpenBLAS runs a GEMM of at most 100**3 multiply-adds through its
-# small-matrix kernels, whose sums depend on the row count. A larger sgemm
-# gives the same bits for any split of its rows; on OpenBLAS 0.3.31 a dgemm
-# does not, so 2-D float64 products stay whole. tests/test_kernel_identity.py
-# checks the model's GEMMs byte for byte against unsplit OpenBLAS.
-_SMALL_GEMM = 100 ** 3
-
-
-def _gemm(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
-    """a @ b (+ bias), each part of the output rows its own BLAS call.
-
-    A stacked product is split over its leading batch axis, so every matrix
-    is the same BLAS call as in one np.matmul. A 2-D one is split over rows
-    only where each part stays above the small-matrix kernels.
-    """
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    out = np.empty(shape, dtype=np.result_type(a, b))
-    m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
-    if len(shape) == 2:
-        # numpy computes a @ a.T as syrk and a one-row product as gemv
-        splittable = (out.dtype == np.float32 and min(m, k, n) > 1
-                      and not np.may_share_memory(a, b))
-        min_rows = max(2, _SMALL_GEMM // max(1, k * n) + 1) if splittable else m
-        split_a, split_b, row_work = True, False, k * n
-    else:
-        min_rows = 1
-        split_a = a.ndim == len(shape) and a.shape[0] == shape[0]
-        split_b = b.ndim == len(shape) and b.shape[0] == shape[0]
-        row_work = m * k * n * math.prod(shape[1:-2])
-
-    def part(rows):
-        np.matmul(a[rows] if split_a else a, b[rows] if split_b else b, out=out[rows])
-        if bias is not None:
-            out[rows] += bias
-
-    _split(part, shape[0], row_work, min_rows)
-    return out
+    if n < 2 or _WORKERS < 2 or work < _GRAIN or getattr(_local, "worker", False):
+        return [fn(i) for i in range(n)]
+    futures = [_pool.submit(fn, i) for i in range(n)]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 _ids = itertools.count()
@@ -333,45 +275,89 @@ def tape(root: Tensor) -> list:
     return order
 
 
+def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
+    """One reverse sweep from root, seeded with g as d(loss)/d(root).
+
+    Returns d(loss)/d(leaf) for each of `leaves` (None where no path leads),
+    possibly as views of arrays a rule returned. It writes nothing into the
+    graph, so sweeps may run at once and again on the same graph.
+    """
+    flow = {root.node_id: g}
+    for t in reversed(tape(root)):
+        gt = flow.pop(t.node_id, None)
+        if gt is None:
+            continue
+        for p, pg in zip(t._parents, t._rule(gt)):
+            if pg is not None and p.requires_grad:
+                pid = p.node_id
+                flow[pid] = pg if pid not in flow else flow[pid] + pg
+    return [flow.get(t.node_id) for t in leaves]
+
+
 def backward(loss: Tensor) -> None:
     """One reverse sweep; leaf .grad accumulates additively across calls."""
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad or loss._op is None:
         raise AutodiffError("backward: no recorded graph reaches this tensor")
-    flow = {loss.node_id: np.ones_like(loss.data)}
-    for t in reversed(tape(loss)):
-        g = flow.pop(t.node_id, None)
-        if g is None:
-            continue
-        for p, pg in zip(t._parents, t._rule(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            if p._op is None:  # leaf
-                # copy on first write: rules may alias g across parents
-                p.grad = np.array(pg, dtype=p.data.dtype) if p.grad is None else p.grad + pg
-            else:
-                pid = p.node_id
-                flow[pid] = pg if pid not in flow else _add(flow[pid], pg)
+    leaves = list({p.node_id: p for t in tape(loss) for p in t._parents
+                   if p._op is None and p.requires_grad}.values())
+    for p, pg in zip(leaves, gradients(loss, np.ones_like(loss.data), leaves)):
+        if pg is not None:
+            # copy on first write: rules may alias g across parents
+            p.grad = np.array(pg, dtype=p.data.dtype) if p.grad is None else p.grad + pg
+
+
+def _sum_in_order(parts):
+    """parts[0] + parts[1] + ... added left to right, skipping None."""
+    parts = [p for p in parts if p is not None]
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    total = parts[0] + parts[1]
+    for p in parts[2:]:
+        total += p
+    return total
+
+
+def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
+    """fn over CHUNK-sample slices of x, concatenated, as one op on (x, *params).
+
+    fn(x_chunk, c) builds chunk c's graph from x_chunk and params; the chunks
+    run through run_chunks (work: activation elements per chunk). The rule
+    runs each chunk's sweep the same way and adds the chunks' parameter
+    gradients in chunk order. The chunk graphs stay intact, so the op can be
+    swept again.
+    """
+    n = len(x.data)
+    params = tuple(params)
+
+    def forward(c):
+        xc = Tensor(x.data[c * CHUNK:(c + 1) * CHUNK], requires_grad=x.requires_grad)
+        return xc, fn(xc, c)
+
+    chunks = run_chunks(forward, max(1, -(-n // CHUNK)), work)
+    out = np.concatenate([y.data for _, y in chunks])
+
+    def rule(g):
+        def sweep(c):
+            xc, y = chunks[c]
+            return gradients(y, g[c * CHUNK:(c + 1) * CHUNK], (xc, *params))
+
+        per_chunk = run_chunks(sweep, len(chunks), work)
+        dx = np.concatenate([d[0] for d in per_chunk]) if x.requires_grad else None
+        return (dx, *(_sum_in_order([d[i] for d in per_chunk])
+                      for i in range(1, len(params) + 1)))
+
+    return _record("chunks", out, (x, *params), rule)
 
 
 # ---------------------------------------------------------------------------
 # elementwise / plumbing ops
 # ---------------------------------------------------------------------------
 
-def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x + y; two C-contiguous arrays of one shape and dtype add in row parts."""
-    if (x.shape != y.shape or x.dtype != y.dtype
-            or not (x.flags.c_contiguous and y.flags.c_contiguous)):
-        return x + y
-    out = np.empty_like(x)
-    _split_rows(lambda r: np.add(x[r], y[r], out=out[r]), x)
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = _add(a.data, b.data)
+        out = a.data + b.data
     except ValueError as e:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from e
 
@@ -437,13 +423,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}")
     try:
-        out = _gemm(a.data, b.data)
+        out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}") from e
 
     def rule(g):
-        da = _unbroadcast(_gemm(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        db = _unbroadcast(_gemm(np.swapaxes(a.data, -1, -2), g), b.shape)
+        da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return da, db
 
     return _record("matmul", out, (a, b), rule)
@@ -457,13 +443,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
     d_in, d_out = w.shape
     # one (B*L, d_in) GEMM instead of one per leading index
-    out = _gemm(x.data.reshape(-1, d_in), w.data, None if b is None else b.data)
+    out = x.data.reshape(-1, d_in) @ w.data
+    if b is not None:
+        out += b.data
     out = out.reshape(x.shape[:-1] + (d_out,))
 
     def rule(g):
         gf = g.reshape(-1, d_out)
-        dw = _gemm(x.data.reshape(-1, d_in).T, gf)  # split over d_in
-        dx = _gemm(gf, w.data.T).reshape(x.shape)
+        dw = x.data.reshape(-1, d_in).T @ gf
+        dx = (gf @ w.data.T).reshape(x.shape)
         if b is None:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
@@ -476,14 +464,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    _split_rows(lambda r: np.maximum(x[r], 0, out=out[r]), x)
+    out = np.maximum(a.data, 0)
 
     def rule(g):
-        d = _empty_result(g, x, dtype=g.dtype)
-        _split_rows(lambda r: np.multiply(g[r], x[r] > 0, out=d[r]), d)
-        return (d,)  # subgradient 0 at 0
+        return (g * (a.data > 0),)  # subgradient 0 at 0
 
     return _record("relu", out, (a,), rule)
 
@@ -503,33 +487,15 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    x = a.data
-    cdf = np.empty_like(x)  # kept for the backward: ndtr is the costly part
-    out = np.empty_like(x)
-
-    def forward(r):
-        ndtr(x[r], out=cdf[r])
-        np.multiply(x[r], cdf[r], out=out[r])  # exact x * Phi(x), no tanh fit
-
-    _split_rows(forward, x)
+    cdf = ndtr(a.data)  # kept for the backward: ndtr is the costly part
+    out = a.data * cdf  # exact x * Phi(x), no tanh fit
 
     def rule(g):
-        d = np.empty_like(x)
-        _split_rows(lambda r: np.multiply(g[r], _gelu_grad(x[r], cdf[r]), out=d[r]), x)
+        d = _gelu_grad(a.data, cdf)
+        np.multiply(g, d, out=d)
         return (d,)
 
     return _record("gelu", out, (a,), rule)
-
-
-_ACTIVATIONS = {"relu": relu, "gelu": gelu}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation kind: {kind!r}") from None
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -538,37 +504,23 @@ def activation(kind: str, x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     """Softmax over the last axis of scale * x, max-shifted for stability."""
-    xd = x.data
-    s = np.empty_like(xd)
-
-    def forward(r):
-        # shift, exp and normalise in place on one buffer
-        sr = s[r]
-        if scale != 1.0:
-            np.multiply(xd[r], scale, out=sr)
-            sr -= sr.max(axis=-1, keepdims=True)
-        else:
-            np.subtract(xd[r], xd[r].max(axis=-1, keepdims=True), out=sr)
-        np.exp(sr, out=sr)
-        sr /= sr.sum(axis=-1, keepdims=True)
-
-    _split_rows(forward, xd, sums=True)
+    # shift, exp and normalise in place on one buffer
+    if scale != 1.0:
+        s = x.data * scale
+        s -= s.max(axis=-1, keepdims=True)
+    else:
+        s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        # one buffer, laid out like g, holds g * s, then g - dot, then
-        # s * (g - dot), then * scale
-        dz = _empty_result(g, s)
-
-        def backward(r):
-            dzr = dz[r]
-            np.multiply(g[r], s[r], out=dzr)
-            dot = dzr.sum(axis=-1, keepdims=True)
-            np.subtract(g[r], dot, out=dzr)
-            np.multiply(s[r], dzr, out=dzr)
-            if scale != 1.0:
-                dzr *= scale
-
-        _split_rows(backward, dz, sums=True)
+        # one buffer holds g * s, then g - dot, then s * (g - dot), then * scale
+        dz = g * s
+        dot = dz.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dz)
+        np.multiply(s, dz, out=dz)
+        if scale != 1.0:
+            dz *= scale
         return (dz,)
 
     return _record("softmax_rows", s, (x,), rule)
@@ -579,43 +531,27 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm: gamma {gamma.shape} / beta {beta.shape} "
                          f"do not match feature dim {d}")
-    xd, gd, bd = x.data, gamma.data, beta.data
-    xhat = np.empty_like(xd)
-    out = np.empty_like(xd)  # (x - mu)^2 first, the output after
-    inv = np.empty(xd.shape[:-1] + (1,), dtype=np.result_type(xd, 1.0))
-
-    def forward(r):
-        xr, xhr, outr = xd[r], xhat[r], out[r]
-        np.subtract(xr, xr.mean(axis=-1, keepdims=True), out=xhr)
-        np.multiply(xhr, xhr, out=outr)
-        var = outr.mean(axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(var + eps), out=inv[r])
-        xhr *= inv[r]
-        np.multiply(xhr, gd, out=outr)
-        outr += bd
-
-    _split_rows(forward, xd, sums=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out = np.multiply(xhat, xhat)  # (x - mu)^2 first, the output after
+    var = out.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def rule(g):
-        gh = _empty_result(g, gd)
-        t = _empty_result(gh, xhat)
-
-        def backward(r):
-            ghr, tr, xhr = gh[r], t[r], xhat[r]
-            np.multiply(g[r], gd, out=ghr)
-            m1 = ghr.mean(axis=-1, keepdims=True)
-            np.multiply(ghr, xhr, out=tr)
-            m2 = tr.mean(axis=-1, keepdims=True)
-            ghr -= m1
-            np.multiply(xhr, m2, out=tr)
-            ghr -= tr
-            np.multiply(inv[r], ghr, out=ghr)  # dx = inv * (gh - m1 - xhat * m2)
-            np.multiply(g[r], xhr, out=tr)
-
-        _split_rows(backward, gh, sums=True)
-        # the sums over rows stay whole, in their one order
+        gh = g * gamma.data
+        m1 = gh.mean(axis=-1, keepdims=True)
+        t = gh * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.multiply(g, xhat, out=t)
         dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
+        gh -= m1
+        np.multiply(xhat, m2, out=t)
+        gh -= t
+        np.multiply(inv, gh, out=gh)  # dx = inv * (gh - m1 - xhat * m2)
         return gh, dgamma, dbeta
 
     return _record("layernorm", out, (x, gamma, beta), rule)
@@ -674,29 +610,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     cols = _im2col(xp, k, stride, ho, wo)        # (B, ho*wo, cin*k*k)
     wmat = w.data.reshape(cout, -1)
-    out = _gemm(cols, wmat.T, b.data)            # (B, ho*wo, cout)
+    out = cols @ wmat.T + b.data                 # (B, ho*wo, cout)
     out = out.transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
 
     def rule(g):
         gf = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)   # (B, P, cout)
         db = gf.sum(axis=(0, 1))
-        gflat = np.empty((bsz, ho * wo, cout), dtype=g.dtype)  # gf, C-contiguous
-
-        def copy(r):
-            gflat[r] = gf[r]
-
-        _split_rows(copy, gflat)
-        dw = _gemm(gflat.reshape(-1, cout).T, cols.reshape(-1, cin * k * k)).reshape(w.shape)
-        dcols = _gemm(gf, wmat)                                 # (B, P, cin*k*k)
-        dx = np.empty(x.shape, dtype=dcols.dtype)
-
-        def col2im(r):
-            dxp = _col2im(dcols[r], (len(dx[r]), cin, h + 2 * pad, wdt + 2 * pad),
-                          k, stride, ho, wo)
-            dx[r] = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-
-        _split_rows(col2im, dx)
-        return dx, dw, db
+        # a C-ordered copy of gf: at batch 1 a reshape would keep its layout
+        gflat = np.ascontiguousarray(gf).reshape(-1, cout)
+        dw = (gflat.T @ cols.reshape(-1, cin * k * k)).reshape(w.shape)
+        dcols = gf @ wmat                                       # (B, P, cin*k*k)
+        dxp = _col2im(dcols, (bsz, cin, h + 2 * pad, wdt + 2 * pad), k, stride, ho, wo)
+        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
+        return np.ascontiguousarray(dx), dw, db
 
     return _record("conv2d", out, (x, w, b), rule)
 
@@ -718,53 +644,37 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
     wo = (wdt + 2 * pad - k) // stride + 1
     hp, wp = h + 2 * pad, wdt + 2 * pad
 
-    recording = _recording((x,))
-    best = np.empty((bsz, c, ho, wo), dtype=x.dtype)
+    xp = (np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                 constant_values=-np.inf) if pad else x.data)
+    windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+               for i in range(k) for j in range(k)]
+    best = np.full((bsz, c, ho, wo), -np.inf, dtype=x.dtype)
+    for cand in windows:
+        np.fmax(best, cand, out=best)  # skips NaN, as a strict > does
+    if not _recording((x,)):
+        return _record("maxpool2d", best, (x,), None)
     # arg is the first window slot (row-major) that holds the max; a window
     # whose max is -inf keeps slot 0
-    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32) if recording else None
-
-    def forward(r):
-        xp = (np.pad(x.data[r], ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                     constant_values=-np.inf) if pad else x.data[r])
-        windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                   for i in range(k) for j in range(k)]
-        top = best[r]
-        top.fill(-np.inf)
-        for cand in windows:
-            np.fmax(top, cand, out=top)  # skips NaN, as a strict > does
-        if not recording:
-            return
-        slot = arg[r]
-        todo = top > -np.inf
-        for idx, cand in enumerate(windows):
-            hit = cand == top
-            hit &= todo
-            todo ^= hit
-            if idx:
-                slot += hit * np.int32(idx)
-
-    _split_rows(forward, best)
-    if not recording:
-        return _record("maxpool2d", best, (x,), None)
+    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32)
+    todo = best > -np.inf
+    for idx, cand in enumerate(windows):
+        hit = cand == best
+        hit &= todo
+        todo ^= hit
+        if idx:
+            arg += hit * np.int32(idx)
 
     def rule(g):
-        dx = np.empty(x.shape, dtype=g.dtype)
-
-        def backward(r):
-            nb = len(dx[r])
-            ih, iw = np.divmod(arg[r].astype(np.int64), k)
-            rows = ih + np.arange(ho, dtype=np.int64)[:, None] * stride
-            cols_ = iw + np.arange(wo, dtype=np.int64)[None, :] * stride
-            flat = ((np.arange(nb, dtype=np.int64)[:, None, None, None] * c
-                     + np.arange(c, dtype=np.int64)[None, :, None, None]) * hp + rows) * wp + cols_
-            # bincount sums in float64, and holds the GIL while it does
-            dxp = np.bincount(flat.ravel(), weights=g[r].ravel(),
-                              minlength=nb * c * hp * wp).reshape(nb, c, hp, wp)
-            dx[r] = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-
-        _split_rows(backward, dx)
-        return (dx,)
+        ih, iw = np.divmod(arg.astype(np.int64), k)
+        rows = ih + np.arange(ho, dtype=np.int64)[:, None] * stride
+        cols_ = iw + np.arange(wo, dtype=np.int64)[None, :] * stride
+        flat = ((np.arange(bsz, dtype=np.int64)[:, None, None, None] * c
+                 + np.arange(c, dtype=np.int64)[None, :, None, None]) * hp + rows) * wp + cols_
+        # bincount sums in float64; only the cropped pixels are cast back
+        dxp = np.bincount(flat.ravel(), weights=g.ravel(),
+                          minlength=bsz * c * hp * wp).reshape(bsz, c, hp, wp)
+        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
+        return (np.ascontiguousarray(dx, dtype=g.dtype),)
 
     return _record("maxpool2d", best, (x,), rule)
 
@@ -773,7 +683,8 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
 # dropout / cross entropy
 # ---------------------------------------------------------------------------
 
-def dropout(x: Tensor, p: float, training: bool, seed: int) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, seed) -> Tensor:
+    """Inverted dropout; seed is an int or a numpy Generator to draw from."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"dropout: p must be in [0, 1], got {p}")
     if not training or p == 0.0:

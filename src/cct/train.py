@@ -12,8 +12,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     TEST_FILE,
@@ -118,10 +116,6 @@ def _train_split(data_dir):
         records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
 
 
-def _dropout_stream_seed(seed: int, step: int) -> int:
-    return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
-
-
 def _batch_metrics(logits, labels, n_classes):
     top1 = topk_accuracy(logits, labels, 1)
     top5 = topk_accuracy(logits, labels, min(5, n_classes))
@@ -189,7 +183,7 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
             for batch in batch_iter(train_records, run.batch_size, run.seed,
                                     norm, run.augment, epoch=epoch):
                 logits = forward(batch.images, params, cfg, training=True,
-                                 dropout_seed=_dropout_stream_seed(run.seed, step))
+                                 dropout_seed=step)
                 loss = cross_entropy(logits, batch.labels)
                 params.zero_grad()
                 backward(loss)
@@ -269,7 +263,7 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
     for step in range(steps):
         batch = next(iter(batch_iter(records, n, seed, norm, False)))
         logits = forward(batch.images, params, cfg, training=True,
-                         dropout_seed=_dropout_stream_seed(seed, step))
+                         dropout_seed=step)
         loss = cross_entropy(logits, batch.labels)
         top1 = topk_accuracy(logits.data, batch.labels, 1)
         history.append((loss.item(), top1))

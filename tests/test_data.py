@@ -1,4 +1,8 @@
 """Dataset loading, normalization, augmentation, batching, synthetic data."""
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,7 +195,31 @@ def test_norm_stats_match_stacked_rows_oracle():
     arr = rows.reshape(len(rows), 3, -1)
     stats = compute_norm_stats(recs)
     assert stats.mean.tobytes() == (arr.mean(axis=(0, 2), dtype=np.float64) / 255.0).tobytes()
-    assert stats.std.tobytes() == (arr.std(axis=(0, 2), dtype=np.float64) / 255.0).tobytes()
+    # the variance in exact rational arithmetic, rounded once
+    exact = []
+    for ch in arr.transpose(1, 0, 2).reshape(3, -1):
+        vals, n = ch.tolist(), ch.size
+        s = sum(vals)
+        # sum((v - s/n)^2) / n, scaled by n^2 to stay in integers
+        var = Fraction(sum((n * v - s) ** 2 for v in vals), n ** 3)
+        exact.append(math.sqrt(float(var)))
+    assert stats.std.tobytes() == (np.array(exact) / 255.0).tobytes()
+    # numpy's float64 std sums its squares in another order: last bits only
+    np.testing.assert_allclose(stats.std, arr.std(axis=(0, 2), dtype=np.float64) / 255.0,
+                               rtol=5e-15, atol=0)
+
+
+def test_norm_stats_make_no_copy_of_the_split():
+    """Peak allocation stays below the split's own pixel bytes; a float64
+    copy of the pixels would be eight times as large."""
+    recs = synthetic_dataset(1000, 10, seed=4)
+    tracemalloc.start()
+    try:
+        compute_norm_stats(recs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < recs.array["pixels"].nbytes
 
 
 def test_normalize_denormalize_roundtrip():

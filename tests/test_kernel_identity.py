@@ -1,24 +1,16 @@
 """The fast kernels against their straightforward formulas.
 
 gelu, softmax_rows, layernorm, maxpool2d and linear work in place on as few
-buffers as they can, and every large kernel splits its rows over the thread
-pool. They must still give the same bytes, forward and backward, as the
-plain formulas in oracles.py, and their backward rules must leave the
-upstream gradient and every array the forward kept untouched.
+buffers as they can. They must still give the same bytes, forward and
+backward, as the plain formulas in oracles.py, and their backward rules must
+leave the upstream gradient and every array the forward kept untouched.
 """
-import json
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from cct import tensor
 from cct.tensor import (Tensor, add, conv2d, gelu, layernorm, linear, matmul,
                         maxpool2d, no_grad, relu, softmax_rows)
 
-import desk_gemms
 from oracles import (ref_add, ref_conv2d, ref_gelu, ref_layernorm, ref_linear,
                      ref_matmul, ref_maxpool2d, ref_relu, ref_softmax_rows)
 
@@ -127,14 +119,14 @@ def test_maxpool_skips_nan_and_routes_grad_to_first_max():
 
 
 # ---------------------------------------------------------------------------
-# the split path: every kernel split over its leading axis
+# every kernel at several leading dims, float32 and float64
 # ---------------------------------------------------------------------------
 
 def _arr(rng, dtype, *shape):
     return rng.standard_normal(shape).astype(dtype)
 
 
-def _split_case(name, rng, n, dt):
+def _dim_case(name, rng, n, dt):
     """(fast op, reference, inputs) with leading dim n."""
     if name == "gelu":
         return gelu, ref_gelu, [_arr(rng, dt, n, 16, 24)]
@@ -169,65 +161,33 @@ def _split_case(name, rng, n, dt):
     raise KeyError(name)
 
 
-SPLIT_CASES = ["gelu", "softmax_1.0", "softmax_0.125", "layernorm", "maxpool2d",
-               "relu", "add", "linear", "matmul_stacked", "matmul_shared_lhs", "conv2d"]
-
-
-def _fast(name, n, dtype, g_layout, workers, monkeypatch):
-    """Forward output and rule outputs of the fast op with `workers` parts
-    and no grain, so that every leading dim of 2 or more is split."""
-    monkeypatch.setattr(tensor, "_WORKERS", workers)
-    monkeypatch.setattr(tensor, "_GRAIN", 1)
-    rng = np.random.default_rng(n)
-    fast, ref, arrays = _split_case(name, rng, n, dtype)
-    out = fast(*[Tensor(a, requires_grad=True) for a in arrays])
-    g = _arr(rng, dtype, *out.shape)
-    if g_layout == "transposed":
-        g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
-    return out.data, out._rule(g), ref, arrays, g
+DIM_CASES = ["gelu", "softmax_1.0", "softmax_0.125", "layernorm", "maxpool2d",
+             "relu", "add", "linear", "matmul_stacked", "matmul_shared_lhs", "conv2d"]
 
 
 @pytest.mark.parametrize("g_layout", ["contiguous", "transposed"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 3, 8, 32])
-@pytest.mark.parametrize("name", SPLIT_CASES)
-def test_split_kernel_matches_reference_and_whole_run(name, n, dtype, g_layout, monkeypatch):
-    whole, whole_rule, _, _, _ = _fast(name, n, dtype, g_layout, 1, monkeypatch)
-    out, got, ref, arrays, g = _fast(name, n, dtype, g_layout, 4, monkeypatch)
+@pytest.mark.parametrize("name", DIM_CASES)
+def test_kernel_matches_reference(name, n, dtype, g_layout):
+    rng = np.random.default_rng(n)
+    fast, ref, arrays = _dim_case(name, rng, n, dtype)
+    out = fast(*[Tensor(a, requires_grad=True) for a in arrays])
+    g = _arr(rng, dtype, *out.shape)
+    if g_layout == "transposed":
+        g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
     want, want_rule = ref(*arrays)
-    assert out.dtype == want.dtype == dtype and out.shape == want.shape
-    assert out.tobytes() == want.tobytes()
-    expected = want_rule(g)
+    assert out.data.dtype == want.dtype == dtype and out.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    got, expected = out._rule(g), want_rule(g)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-    # the split run also lays out every array as the whole run does, so that
-    # later kernels see the same memory order
-    assert out.strides == whole.strides
-    assert [a.strides for a in got] == [a.strides for a in whole_rule]
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in whole_rule]
-
-
-def test_desk_gemms_match_numpy_with_openblas_threads():
-    """Every GEMM of the desk model, through _gemm's row and batch split,
-    gives the bytes that numpy gives in a process where OpenBLAS keeps its
-    own thread count, as it did before the pool existed."""
-    batches = (1, 8, 32, 256)
-    script = Path(desk_gemms.__file__)
-    child = subprocess.run([sys.executable, str(script), *map(str, batches)],
-                           capture_output=True, text=True, check=True, timeout=600)
-    want = json.loads(child.stdout)
-    got = {f"{b}/{name}": desk_gemms.digest(tensor._gemm(a, m))
-           for b in batches for name, a, m in desk_gemms.cases(b)}
-    assert got.keys() == want.keys()
-    assert [k for k in got if got[k] != want[k]] == []
 
 
 @pytest.mark.parametrize("name", ["softmax_rows", "layernorm"])
-def test_a_one_dim_row_kernel_runs_its_only_row_whole(name, monkeypatch):
-    monkeypatch.setattr(tensor, "_WORKERS", 4)
-    monkeypatch.setattr(tensor, "_GRAIN", 1)
+def test_one_dim_row_kernel_matches_reference(name):
     rng = np.random.default_rng(5)
     x, gamma, beta, g = (_arr(rng, np.float32, 64) for _ in range(4))
     if name == "softmax_rows":

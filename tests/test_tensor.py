@@ -11,7 +11,6 @@ from cct.tensor import (
     ConfigError,
     ShapeError,
     Tensor,
-    activation,
     backward,
     conv2d,
     cross_entropy,
@@ -236,14 +235,6 @@ def test_gelu_zero_and_phi_one():
     npt.assert_allclose(gelu(t64([0.0])).data, [0.0], atol=0)
     # gelu(1) = 1 * Phi(1), Phi(1) = 0.8413447460685429
     npt.assert_allclose(gelu(t64([1.0])).data, [0.8413447460685429], rtol=1e-9)
-
-
-def test_activation_kind_dispatch():
-    x = Tensor([-2.0, 3.0])
-    npt.assert_array_equal(activation("relu", x).data, relu(x).data)
-    npt.assert_array_equal(activation("gelu", x).data, gelu(x).data)
-    with pytest.raises(ConfigError):
-        activation("swish", x)
 
 
 def test_relu_subgradient_zero_at_zero():
