@@ -24,7 +24,6 @@ class AttentionConfig:
     d_model: int
     n_heads: int
     ctx_len: int
-    use_bias: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -47,10 +46,6 @@ class AttentionParams:
     w_o: Tensor
     w_v: Tensor | None = None  # sdpa only
     w_a: Tensor | None = None  # super only
-    b_q: Tensor | None = None
-    b_k: Tensor | None = None
-    b_v: Tensor | None = None
-    b_o: Tensor | None = None
 
 
 def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
@@ -64,20 +59,11 @@ def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
         return Tensor(rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
                       requires_grad=True)
 
-    def zeros():
-        return Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-
     w_q, w_k = draw(), draw()
     w_v = draw() if cfg.kind == "sdpa" else None
     w_a = (Tensor(np.eye(cfg.ctx_len, dtype=dtype), requires_grad=True)
            if cfg.kind == "super" else None)
-    w_o = draw()
-    p = AttentionParams(w_q=w_q, w_k=w_k, w_o=w_o, w_v=w_v, w_a=w_a)
-    if cfg.use_bias:
-        p.b_q, p.b_k, p.b_o = zeros(), zeros(), zeros()
-        if cfg.kind == "sdpa":
-            p.b_v = zeros()
-    return p
+    return AttentionParams(w_q=w_q, w_k=w_k, w_o=draw(), w_v=w_v, w_a=w_a)
 
 
 def _check_input(x: Tensor, cfg: AttentionConfig):
@@ -94,8 +80,8 @@ def _split_heads(t: Tensor, cfg: AttentionConfig) -> Tensor:
 
 
 def _scores(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    q = _split_heads(linear(x, p.w_q, p.b_q), cfg)
-    k = _split_heads(linear(x, p.w_k, p.b_k), cfg)
+    q = _split_heads(linear(x, p.w_q), cfg)
+    k = _split_heads(linear(x, p.w_k), cfg)
     logits = matmul(q, transpose(k, (0, 1, 3, 2)))  # (B, H, L, L)
     return softmax_rows(logits, scale=1.0 / math.sqrt(cfg.head_dim))
 
@@ -105,14 +91,14 @@ def _mix_and_project(scores: Tensor, v: Tensor, p: AttentionParams,
     b = v.shape[0]
     ctx = matmul(scores, _split_heads(v, cfg))          # (B, H, L, hd)
     merged = transpose(ctx, (0, 2, 1, 3)).reshape(b, cfg.ctx_len, cfg.d_model)
-    return linear(merged, p.w_o, p.b_o)
+    return linear(merged, p.w_o)
 
 
 def sdpa_forward(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
     _check_input(x, cfg)
     if p.w_v is None:
         raise ConfigError("sdpa_forward: params carry no w_v")
-    v = linear(x, p.w_v, p.b_v)
+    v = linear(x, p.w_v)
     return _mix_and_project(_scores(x, p, cfg), v, p, cfg)
 
 
@@ -140,8 +126,8 @@ def attention_scores(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Ten
 def attention_param_count(cfg: AttentionConfig) -> int:
     d, el = cfg.d_model, cfg.ctx_len
     if cfg.kind == "sdpa":
-        return 4 * d * d + (4 * d if cfg.use_bias else 0)
-    return 3 * d * d + el * el + (3 * d if cfg.use_bias else 0)
+        return 4 * d * d
+    return 3 * d * d + el * el
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
+    KINDS,
     AttentionConfig,
     attention_flops,
     attention_forward,
@@ -65,7 +66,7 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
         for ctx in ctxs:
             x_data = stream("init", seed, d, ctx).standard_normal(
                 (1, ctx, d), dtype=np.float32)
-            for kind in ("sdpa", "super"):
+            for kind in KINDS:
                 cfg = AttentionConfig(kind=kind, d_model=d,
                                       n_heads=_bench_heads(d), ctx_len=ctx)
                 params = init_attention_params(cfg, stream("init", seed, 1))
@@ -129,7 +130,7 @@ def param_report(cfg: ModelConfig):
     """Component-wise parameter counts for both attention kinds at the same
     dims, plus super/sdpa ratios. Returns (text, csv_rows)."""
     counts = {}
-    for kind in ("sdpa", "super"):
+    for kind in KINDS:
         kcfg = dataclasses.replace(cfg, attn_kind=kind)
         counts[kind] = model_param_count(kcfg)
 
@@ -138,7 +139,7 @@ def param_report(cfg: ModelConfig):
     total_ratio = counts["super"]["total"] / counts["sdpa"]["total"]
 
     rows = []
-    for kind in ("sdpa", "super"):
+    for kind in KINDS:
         row = {"kind": kind}
         row.update({k: counts[kind][k] for k in PARAM_REPORT_FIELDS[1:]})
         rows.append(row)

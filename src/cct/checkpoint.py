@@ -2,10 +2,11 @@
 
 Layout (all integers little-endian):
     magic   4 bytes  b"CCTS"
-    version u32      currently 1
+    version u32      currently 2; others are refused (1 had six more model keys)
     hlen    u32      length of the JSON header
     header  hlen bytes of UTF-8 JSON: model config, optimizer hyperparameters
-                     (or null), seed, epoch, optimizer step count (or null)
+                     (or null), seed, epoch, optimizer step count (or null);
+                     the two config objects carry exactly their class's fields
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name nlen bytes UTF-8
@@ -25,7 +26,7 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .optim import AdamWHyperParams, AdamWState
 from .tensor import Tensor
 
 MAGIC = b"CCTS"
-VERSION = 1
+VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -114,6 +115,17 @@ def replacing(path, mode="wb", **open_kwargs):
         threading.Thread(target=os.close, args=(held,)).start()
 
 
+def _config_from_header(path, cls, values):
+    """cls built from a header object whose keys must be exactly its fields,
+    so that no setting falls back to a default or is dropped unread."""
+    names = {f.name for f in fields(cls)}
+    missing, extra = sorted(names - set(values)), sorted(set(values) - names)
+    if missing or extra:
+        raise CheckpointError(f"{path}: header {cls.__name__} keys do not match "
+                              f"(missing {missing}, extra {extra})")
+    return cls(**values)
+
+
 def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
                     epoch: int, hp: AdamWHyperParams | None = None,
                     opt_state: AdamWState | None = None) -> None:
@@ -153,7 +165,7 @@ def load_checkpoint(path) -> CheckpointData:
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor table")
 
-    cfg = ModelConfig(**header["model"])
+    cfg = _config_from_header(path, ModelConfig, header["model"])
     expected = canonical_param_names(cfg)
     has_opt = header["opt_t"] is not None
     want = list(expected)
@@ -168,7 +180,8 @@ def load_checkpoint(path) -> CheckpointData:
     params = ParameterSet((name, Tensor(tensors[name], requires_grad=True))
                           for name in expected)
 
-    hp = AdamWHyperParams(**header["optimizer"]) if header["optimizer"] else None
+    hp = (_config_from_header(path, AdamWHyperParams, header["optimizer"])
+          if header["optimizer"] else None)
     opt_state = None
     if has_opt:
         opt_state = AdamWState(

@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 
+from .attention import KINDS
 from .bench import (
     bench_attention,
     crossover_warnings,
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data-dir")
     t.add_argument("--out-dir", required=True)
     t.add_argument("--seed", type=int)
-    t.add_argument("--attn", choices=("sdpa", "super"), dest="attn_kind")
+    t.add_argument("--attn", choices=KINDS, dest="attn_kind")
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch-size", type=int)
     t.add_argument("--no-augment", action="store_true")
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, default=64)
     o.add_argument("--steps", type=int, default=300)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--attn", choices=("sdpa", "super"), default="super")
+    o.add_argument("--attn", choices=KINDS, default="super")
     o.add_argument("--data-dir")
     return p
 

@@ -24,57 +24,43 @@ __all__ = [
 ]
 
 
+# CCT-6/3x1 tokenizer geometry: 3x3 same-padded convs over RGB, each followed
+# by a 3x3 max pool at stride 2 that halves both sides. Super attention's
+# W_A fixes the context length, so the geometry is part of the design.
+IN_CHANNELS = 3
+CONV_KERNEL = 3
+POOL_KERNEL, POOL_STRIDE, POOL_PAD = 3, 2, 1
+LAYERNORM_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     attn_kind: str = "super"
     img_size: int = 32
-    in_channels: int = 3
     n_classes: int = 100
     d_model: int = 256
     n_layers: int = 6
     n_heads: int = 4
     mlp_ratio: int = 2
     conv_blocks: int = 1
-    conv_kernel: int = 3
-    pool_kernel: int = 3
-    pool_stride: int = 2
-    pool_pad: int = 1
     dropout_p: float = 0.0
-    layernorm_eps: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
-        if self.attn_kind not in ("sdpa", "super"):
-            raise ConfigError(f"attn_kind must be sdpa or super, got {self.attn_kind!r}")
-        if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads:
-            raise ConfigError(f"d_model={self.d_model} must be a positive multiple "
-                              f"of n_heads={self.n_heads}")
-        for name in ("img_size", "in_channels", "n_classes", "n_layers",
-                     "mlp_ratio", "conv_blocks", "conv_kernel", "pool_kernel",
-                     "pool_stride"):
+        for name in ("img_size", "n_classes", "n_layers", "mlp_ratio", "conv_blocks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.conv_kernel % 2 == 0:
-            raise ConfigError("conv_kernel must be odd (same-size padding)")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.img_size % self.pool_stride ** self.conv_blocks:
+        if self.img_size % POOL_STRIDE ** self.conv_blocks:
             raise ConfigError(f"img_size={self.img_size} is not divisible by "
-                              f"pool_stride^conv_blocks="
-                              f"{self.pool_stride ** self.conv_blocks}")
-        if self._pooled_side() != self.img_size // self.pool_stride ** self.conv_blocks:
-            raise ConfigError("pool_kernel/pool_pad do not reduce each side by "
-                              "exactly pool_stride per conv block")
-
-    def _pooled_side(self) -> int:
-        side = self.img_size
-        for _ in range(self.conv_blocks):
-            side = (side + 2 * self.pool_pad - self.pool_kernel) // self.pool_stride + 1
-        return side
+                              f"{POOL_STRIDE}^conv_blocks="
+                              f"{POOL_STRIDE ** self.conv_blocks}")
+        self.attn_config()  # checks attn_kind, d_model and n_heads
 
     @property
     def ctx_len(self) -> int:
-        return self._pooled_side() ** 2
+        return (self.img_size // POOL_STRIDE ** self.conv_blocks) ** 2
 
     def attn_config(self) -> AttentionConfig:
         return AttentionConfig(kind=self.attn_kind, d_model=self.d_model,
@@ -149,17 +135,17 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
         return Tensor(np.asarray(a, dtype=dtype), requires_grad=True)
 
     def kaiming_conv(cin):
-        fan_in = cin * cfg.conv_kernel ** 2
+        fan_in = cin * CONV_KERNEL ** 2
         bound = math.sqrt(6.0 / fan_in)
         return param(rng.uniform(-bound, bound,
-                                 size=(d, cin, cfg.conv_kernel, cfg.conv_kernel)))
+                                 size=(d, cin, CONV_KERNEL, CONV_KERNEL)))
 
     def xavier(fan_in, fan_out):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         return param(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
     named = {}
-    cin = cfg.in_channels
+    cin = IN_CHANNELS
     for i in range(cfg.conv_blocks):
         named[f"tokenizer.conv{i}.w"] = kaiming_conv(cin)
         named[f"tokenizer.conv{i}.b"] = param(np.zeros(d))
@@ -196,16 +182,16 @@ def _layer_attn_params(params: ParameterSet, cfg: ModelConfig, i: int) -> Attent
 def tokenize(images: Tensor, params: ParameterSet, cfg: ModelConfig) -> Tensor:
     """conv -> relu -> maxpool per block, then row-major flatten of the
     spatial grid into a (B, ctx_len, d_model) token sequence."""
-    expect = (cfg.in_channels, cfg.img_size, cfg.img_size)
+    expect = (IN_CHANNELS, cfg.img_size, cfg.img_size)
     if images.ndim != 4 or images.shape[1:] != expect:
         raise ShapeError(f"tokenize: images {images.shape} do not match "
                          f"(B, {expect[0]}, {expect[1]}, {expect[2]})")
     x = images
     for i in range(cfg.conv_blocks):
         x = conv2d(x, params[f"tokenizer.conv{i}.w"], params[f"tokenizer.conv{i}.b"],
-                   stride=1, pad=(cfg.conv_kernel - 1) // 2)
+                   stride=1, pad=(CONV_KERNEL - 1) // 2)
         x = relu(x)
-        x = maxpool2d(x, k=cfg.pool_kernel, stride=cfg.pool_stride, pad=cfg.pool_pad)
+        x = maxpool2d(x, k=POOL_KERNEL, stride=POOL_STRIDE, pad=POOL_PAD)
     b = x.shape[0]
     tokens = transpose(x.reshape(b, cfg.d_model, cfg.ctx_len), (0, 2, 1))
     return tokens
@@ -226,12 +212,13 @@ def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
         raise ShapeError(f"encoder_block: input {x.shape} does not match "
                          f"(B, {cfg.ctx_len}, {cfg.d_model})")
     i = layer_idx
-    eps = cfg.layernorm_eps
     a = attention_forward(
-        layernorm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"], eps),
+        layernorm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"],
+                  LAYERNORM_EPS),
         _layer_attn_params(params, cfg, i), cfg.attn_config())
     x = x + _branch_dropout(a, cfg, training, dropout_seed, chunk, i, 0)
-    h = layernorm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"], eps)
+    h = layernorm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"],
+                  LAYERNORM_EPS)
     m = linear(gelu(linear(h, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])),
                params[f"layer{i}.mlp.w2"], params[f"layer{i}.mlp.b2"])
     return x + _branch_dropout(m, cfg, training, dropout_seed, chunk, i, 1)
@@ -253,7 +240,7 @@ def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig,
     x = tokens
     for i in range(cfg.n_layers):
         x = encoder_block(x, params, cfg, i, training, dropout_seed, chunk)
-    x = layernorm(x, params["final_ln.g"], params["final_ln.b"], cfg.layernorm_eps)
+    x = layernorm(x, params["final_ln.g"], params["final_ln.b"], LAYERNORM_EPS)
     pooled = seq_pool(x, params["seqpool.g"])
     return linear(pooled, params["head.w"], params["head.b"])
 
@@ -275,9 +262,9 @@ def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
 
 def model_param_count(cfg: ModelConfig) -> dict:
     """Closed-form per-component counts; total matches init_params exactly."""
-    d, r, k = cfg.d_model, cfg.mlp_ratio, cfg.conv_kernel
+    d, r, k = cfg.d_model, cfg.mlp_ratio, CONV_KERNEL
     tokenizer = 0
-    cin = cfg.in_channels
+    cin = IN_CHANNELS
     for _ in range(cfg.conv_blocks):
         tokenizer += d * cin * k * k + d
         cin = d

@@ -29,43 +29,30 @@ from .tensor import ConfigError, backward, cross_entropy, no_grad
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # model
-    attn_kind: str = "super"
-    img_size: int = 32
-    n_classes: int = 100
-    d_model: int = 256
-    n_layers: int = 6
-    n_heads: int = 4
-    mlp_ratio: int = 2
-    conv_blocks: int = 1
-    dropout_p: float = 0.0
-    # optimizer (constant learning rate for the whole run)
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    exempt_norms_biases: bool = False
-    # run
+class RunConfig(ModelConfig, AdamWHyperParams):
+    """Every setting of a run: the model's and the optimizer's fields
+    (constant learning rate for the whole run) plus the run's own."""
     epochs: int = 75
     batch_size: int = 1024
-    seed: int = 0
     augment: bool = True
     checkpoint_every: int = 5
     eval_batch_size: int = 256
 
+    def __post_init__(self):
+        ModelConfig.__post_init__(self)
+        AdamWHyperParams.__post_init__(self)
+        for name in ("epochs", "batch_size", "checkpoint_every", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    def _project(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(attn_kind=self.attn_kind, img_size=self.img_size,
-                           n_classes=self.n_classes, d_model=self.d_model,
-                           n_layers=self.n_layers, n_heads=self.n_heads,
-                           mlp_ratio=self.mlp_ratio, conv_blocks=self.conv_blocks,
-                           dropout_p=self.dropout_p, seed=self.seed)
+        return self._project(ModelConfig)
 
     def hyperparams(self) -> AdamWHyperParams:
-        return AdamWHyperParams(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                                eps=self.eps, weight_decay=self.weight_decay,
-                                exempt_norms_biases=self.exempt_norms_biases)
+        return self._project(AdamWHyperParams)
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -251,10 +238,9 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
         records = synthetic_dataset(n, min(n, 10), seed)
     norm = compute_norm_stats(records)
 
-    run = RunConfig(attn_kind=attn_kind, d_model=64, n_layers=2, n_heads=2,
-                    n_classes=100, batch_size=n, seed=seed, augment=False)
-    cfg = run.model_config()
-    hp = run.hyperparams()
+    cfg = ModelConfig(attn_kind=attn_kind, d_model=64, n_layers=2, n_heads=2,
+                      n_classes=100, seed=seed)
+    hp = AdamWHyperParams()
     params = init_params(cfg, seed)
     state = init_adamw_state(params)
 

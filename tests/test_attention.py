@@ -292,8 +292,7 @@ def test_param_count_matches_allocation():
         h = int(rng.integers(1, 5))
         d = h * int(rng.integers(1, 9))
         cfg = AttentionConfig(kind=rng.choice(["sdpa", "super"]), d_model=d,
-                              n_heads=h, ctx_len=int(rng.integers(1, 17)),
-                              use_bias=bool(rng.integers(0, 2)))
+                              n_heads=h, ctx_len=int(rng.integers(1, 17)))
         p = init_attention_params(cfg, rng)
         allocated = sum(t.size for t in vars(p).values() if t is not None)
         assert attention_param_count(cfg) == allocated, cfg

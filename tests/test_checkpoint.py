@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import struct
 import threading
@@ -75,6 +76,58 @@ def test_rejects_unknown_version(tmp_path):
     raw[4:8] = struct.pack("<I", 99)
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                     + raw[12 + hlen:])
+
+
+def _save_with_optimizer(path):
+    cfg = dataclasses.replace(CFG, dropout_p=0.25)
+    params = init_params(cfg, seed=3)
+    save_checkpoint(path, cfg, params, seed=3, epoch=1,
+                    hp=AdamWHyperParams(lr=0.005), opt_state=init_adamw_state(params))
+
+
+@pytest.mark.parametrize("section,key", [("model", "dropout_p"),
+                                         ("optimizer", "lr")])
+def test_rejects_header_missing_a_key(tmp_path, section, key):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h[section].pop(key))
+    with pytest.raises(CheckpointError, match=rf"missing \['{key}'\], extra \[\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section,key", [("model", "pool_pad"),
+                                         ("optimizer", "momentum")])
+def test_rejects_header_with_an_unknown_key(tmp_path, section, key):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h[section].update({key: 1}))
+    with pytest.raises(CheckpointError, match=rf"missing \[\], extra \['{key}'\]"):
+        load_checkpoint(path)
+
+
+def test_rejects_version_1(tmp_path):
+    # a version-1 header also carried in_channels, conv_kernel, pool_kernel,
+    # pool_stride, pool_pad and layernorm_eps
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["model"].update(
+        in_channels=3, conv_kernel=3, pool_kernel=3, pool_stride=2, pool_pad=1,
+        layernorm_eps=1e-5))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(path)
 
 

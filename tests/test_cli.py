@@ -1,10 +1,15 @@
 """End-to-end runs of every CLI subcommand."""
+import subprocess
+from pathlib import Path
+
 import pytest
 
 import cct.tensor
 from cct.cli import main
 from cct.data import synthetic_dataset, write_records
 from cct.metrics import read_metrics
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,18 @@ def test_params_command(tiny_cfg, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sdpa" in out and "super" in out and "ratio" in out
     assert csv_path.exists()
+
+
+def test_params_command_reads_the_shipped_full_config(capsys):
+    rc = main(["params", "--config", str(SCRIPTS / "full.cfg")])
+    assert rc == 0
+    # at d=256 and l=256, W_A has as many entries as the W_V it replaces
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["total", "3190116", "3190116"] in rows
+
+
+def test_shipped_launch_script_parses():
+    subprocess.run(["bash", "-n", str(SCRIPTS / "train_full.sh")], check=True)
 
 
 def test_bench_command(tmp_path, capsys):

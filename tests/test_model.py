@@ -47,8 +47,6 @@ def test_config_rejects_bad_combinations():
         small_cfg(dropout_p=1.0)
     with pytest.raises(ConfigError):
         small_cfg(attn_kind="flash")
-    with pytest.raises(ConfigError):
-        small_cfg(pool_pad=0)  # pooling no longer halves each side
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,8 @@ def test_block_preserves_shape():
 def test_block_matches_composed_oracle():
     # 2 tokens, d=4, one head, sdpa: rebuild the block step by step with
     # the naive oracles in float64
-    cfg = ModelConfig(attn_kind="sdpa", img_size=4, pool_kernel=3, pool_stride=2,
-                      pool_pad=1, d_model=4, n_layers=1, n_heads=1, seed=0)
+    cfg = ModelConfig(attn_kind="sdpa", img_size=4, d_model=4, n_layers=1,
+                      n_heads=1, seed=0)
     assert cfg.ctx_len == 4
     params = init_params(cfg, seed=5, dtype=np.float64)
     x = np.random.default_rng(6).normal(size=(1, 4, 4))
@@ -137,11 +135,11 @@ def test_block_matches_composed_oracle():
     got = encoder_block(t64(x), params, cfg, 0).data
 
     g = lambda n: params[n].data
-    h = naive_layernorm(x[0], g("layer0.ln1.g"), g("layer0.ln1.b"), cfg.layernorm_eps)
+    h = naive_layernorm(x[0], g("layer0.ln1.g"), g("layer0.ln1.b"), 1e-5)
     a = naive_sdpa(h[None], g("layer0.attn.w_q"), g("layer0.attn.w_k"),
                    g("layer0.attn.w_v"), g("layer0.attn.w_o"), n_heads=1)[0]
     y = x[0] + a
-    h2 = naive_layernorm(y, g("layer0.ln2.g"), g("layer0.ln2.b"), cfg.layernorm_eps)
+    h2 = naive_layernorm(y, g("layer0.ln2.g"), g("layer0.ln2.b"), 1e-5)
     m = naive_gelu(h2 @ g("layer0.mlp.w1") + g("layer0.mlp.b1")) @ g("layer0.mlp.w2") \
         + g("layer0.mlp.b2")
     want = y + m

@@ -2,6 +2,7 @@
 import dataclasses
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cct.train import (
     parse_config_file,
     train,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = dict(d_model=32, n_layers=1, n_heads=2, epochs=1, batch_size=32,
             seed=3, augment=False, eval_batch_size=64)
@@ -78,6 +81,33 @@ def test_cli_overrides_beat_file(tmp_path):
     path.write_text("seed = 1\nepochs = 3\n")
     run = load_run_config(path, seed=9, epochs=None)
     assert run.seed == 9 and run.epochs == 3
+
+
+@pytest.mark.parametrize("key", ["epochs", "batch_size", "checkpoint_every",
+                                 "eval_batch_size"])
+def test_run_setting_below_one_is_refused_before_anything_is_written(
+        key, data_dir, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**TINY, key: 0}.items()))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+        train(load_run_config(path), data_dir, out)
+    assert not out.exists()
+
+
+def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```ini\n", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block.split("```", 1)[0])
+    assert parse_config_file(path) == \
+        {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+def test_shipped_full_config_is_the_paper_run():
+    run = load_run_config(ROOT / "scripts" / "full.cfg")
+    assert (run.epochs, run.batch_size) == (75, 1024)
+    assert (run.lr, run.beta1, run.beta2, run.weight_decay) == (0.01, 0.9, 0.999, 0.01)
 
 
 # ---------------------------------------------------------------------------
