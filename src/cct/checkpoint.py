@@ -4,9 +4,10 @@ Layout (all integers little-endian):
     magic   4 bytes  b"CCTS"
     version u32      currently 2; others are refused (1 had six more model keys)
     hlen    u32      length of the JSON header
-    header  hlen bytes of UTF-8 JSON: model config, optimizer hyperparameters
-                     (or null), seed, epoch, optimizer step count (or null);
-                     the two config objects carry exactly their class's fields
+    header  hlen bytes of UTF-8 JSON: an object of exactly five keys, the
+                     model config, optimizer hyperparameters (or null), seed,
+                     epoch and optimizer step count (or null); the two config
+                     objects carry exactly their class's fields
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name nlen bytes UTF-8
@@ -115,15 +116,30 @@ def replacing(path, mode="wb", **open_kwargs):
         threading.Thread(target=os.close, args=(held,)).start()
 
 
-def _config_from_header(path, cls, values):
-    """cls built from a header object whose keys must be exactly its fields,
-    so that no setting falls back to a default or is dropped unread."""
-    names = {f.name for f in fields(cls)}
-    missing, extra = sorted(names - set(values)), sorted(set(values) - names)
+# The header's top-level keys, all required.
+_HEADER_KEYS = ("model", "optimizer", "seed", "epoch", "opt_t")
+
+
+def _check_keys(path, what: str, values, names) -> None:
+    """Refuse a header object that is not a JSON object or whose keys are not
+    exactly `names`, so that no setting falls back to a default or is
+    dropped unread."""
+    if not isinstance(values, dict):
+        raise CheckpointError(f"{path}: {what} is not a JSON object "
+                              f"(got {type(values).__name__})")
+    missing, extra = sorted(set(names) - set(values)), sorted(set(values) - set(names))
     if missing or extra:
-        raise CheckpointError(f"{path}: header {cls.__name__} keys do not match "
+        raise CheckpointError(f"{path}: {what} keys do not match "
                               f"(missing {missing}, extra {extra})")
-    return cls(**values)
+
+
+def _config_from_header(path, cls, values):
+    """cls built from a header object that carries exactly its fields."""
+    _check_keys(path, f"header {cls.__name__}", values, [f.name for f in fields(cls)])
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as e:  # ConfigError is a ValueError
+        raise CheckpointError(f"{path}: header {cls.__name__} is not valid: {e}") from None
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
@@ -165,6 +181,7 @@ def load_checkpoint(path) -> CheckpointData:
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor table")
 
+    _check_keys(path, "header", header, _HEADER_KEYS)
     cfg = _config_from_header(path, ModelConfig, header["model"])
     expected = canonical_param_names(cfg)
     has_opt = header["opt_t"] is not None

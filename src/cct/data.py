@@ -8,11 +8,13 @@ red, 1024 green, 1024 blue), each plane row-major 32x32.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import replacing
 from .seeding import stream
 from .tensor import ConfigError, Tensor
 
@@ -80,13 +82,22 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 def load_records(path) -> Records:
-    """Parse one record file of any length (must be whole records)."""
+    """Map one record file of any length (must be whole records), read-only.
+
+    The records are the file's own page-cache pages, so a load copies
+    nothing and needs no fresh memory, whatever the heap holds. Replace a
+    split file by renaming a new one over it, as write_records does: a file
+    rewritten in place changes the records of every process that maps it,
+    and one truncated in place kills them (SIGBUS).
+    """
     size = os.path.getsize(path)
     if size == 0 or size % RECORD_BYTES:
         raise DataError(f"{path}: size {size} bytes is not a positive "
                         f"multiple of the {RECORD_BYTES}-byte record size")
+    with open(path, "rb") as f:
+        mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
     try:
-        return Records(np.fromfile(path, dtype=RECORD))
+        return Records(np.frombuffer(mapped, dtype=RECORD))
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
 
@@ -109,8 +120,12 @@ def load_cifar100(data_dir):
 
 
 def write_records(path, records) -> None:
-    """Write a Records, or any sequence of records, in the file layout."""
-    Records(records).array.tofile(path)
+    """Write a Records, or any sequence of records, in the file layout, to a
+    temporary file renamed over `path`, so that a process that maps the old
+    file keeps its records."""
+    array = Records(records).array
+    with replacing(path) as f:
+        array.tofile(f)
 
 
 # ---------------------------------------------------------------------------

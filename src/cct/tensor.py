@@ -5,6 +5,13 @@ topologically ordered tape once and accumulates gradients into leaf
 tensors. float32 is the working precision; float64 inputs stay float64
 so the gradient checker can run the same kernels at high precision.
 
+Each op binds, when it runs, every array and shape its backward rule will
+read; a rule never reads a parent's .data or .shape. A graph then keeps
+alive only what backward needs, and map_chunks drops the .data of every
+interior node of a chunk's graph as soon as that graph is built. A
+parameter's array is bound as it was at forward time, so a graph's rules
+see the weights it was built with even after an optimizer step.
+
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
 each chunk's reverse sweep on the pool and adds the chunks' gradients in
@@ -208,6 +215,8 @@ class Tensor:
         return matmul(self, other)
 
     def __repr__(self):
+        if self.data is None:
+            return f"Tensor(op={self._op!r}, data dropped)"
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
@@ -322,10 +331,12 @@ def _sum_in_order(parts):
 def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     """fn over CHUNK-sample slices of x, concatenated, as one op on (x, *params).
 
-    fn(x_chunk, c) builds chunk c's graph from x_chunk and params; the chunks
-    run through run_chunks (work: activation elements per chunk). The rule
-    runs each chunk's sweep the same way and adds the chunks' parameter
-    gradients in chunk order. The chunk graphs stay intact, so the op can be
+    fn(x_chunk, c) builds chunk c's graph from x_chunk and params, which must
+    be leaves; the chunks run through run_chunks (work: activation elements
+    per chunk). Once a chunk's graph is built, every recorded node in it but
+    its output drops its data: the rules hold what they read. The rule runs
+    each chunk's sweep the same way and adds the chunks' parameter gradients
+    in chunk order. The chunk graphs keep their structure, so the op can be
     swept again.
     """
     n = len(x.data)
@@ -333,7 +344,11 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
 
     def forward(c):
         xc = Tensor(x.data[c * CHUNK:(c + 1) * CHUNK], requires_grad=x.requires_grad)
-        return xc, fn(xc, c)
+        y = fn(xc, c)
+        for t in tape(y):
+            if t is not y:
+                t.data = None
+        return xc, y
 
     chunks = run_chunks(forward, max(1, -(-n // CHUNK)), work)
     out = np.concatenate([y.data for _, y in chunks])
@@ -361,8 +376,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from e
 
+    sa, sb = a.shape, b.shape
+
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record("add", out, (a, b), rule)
 
@@ -373,8 +390,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from e
 
+    ad, bd = a.data, b.data
+
     def rule(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _record("mul", out, (a, b), rule)
 
@@ -386,9 +405,10 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def tensor_sum(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
+    shape = a.shape
 
     def rule(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _record("sum", out, (a,), rule)
 
@@ -398,9 +418,10 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {a.shape} -> {shape}") from e
+    shape_in = a.shape
 
     def rule(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_in),)
 
     return _record("reshape", out, (a,), rule)
 
@@ -427,9 +448,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}") from e
 
+    ad, bd = a.data, b.data
+
     def rule(g):
-        da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        da = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        db = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return da, db
 
     return _record("matmul", out, (a, b), rule)
@@ -442,16 +465,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
     d_in, d_out = w.shape
+    xd, wd = x.data, w.data
     # one (B*L, d_in) GEMM instead of one per leading index
-    out = x.data.reshape(-1, d_in) @ w.data
+    out = xd.reshape(-1, d_in) @ wd
     if b is not None:
         out += b.data
-    out = out.reshape(x.shape[:-1] + (d_out,))
+    out = out.reshape(xd.shape[:-1] + (d_out,))
 
     def rule(g):
         gf = g.reshape(-1, d_out)
-        dw = x.data.reshape(-1, d_in).T @ gf
-        dx = (gf @ w.data.T).reshape(x.shape)
+        dw = xd.reshape(-1, d_in).T @ gf
+        dx = (gf @ wd.T).reshape(xd.shape)
         if b is None:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
@@ -464,10 +488,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
+    ad = a.data
+    out = np.maximum(ad, 0)
 
     def rule(g):
-        return (g * (a.data > 0),)  # subgradient 0 at 0
+        return (g * (ad > 0),)  # subgradient 0 at 0
 
     return _record("relu", out, (a,), rule)
 
@@ -487,11 +512,12 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    cdf = ndtr(a.data)  # kept for the backward: ndtr is the costly part
-    out = a.data * cdf  # exact x * Phi(x), no tanh fit
+    ad = a.data
+    cdf = ndtr(ad)  # kept for the backward: ndtr is the costly part
+    out = ad * cdf  # exact x * Phi(x), no tanh fit
 
     def rule(g):
-        d = _gelu_grad(a.data, cdf)
+        d = _gelu_grad(ad, cdf)
         np.multiply(g, d, out=d)
         return (d,)
 
@@ -537,11 +563,12 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
+    gd = gamma.data
+    np.multiply(xhat, gd, out=out)
     out += beta.data
 
     def rule(g):
-        gh = g * gamma.data
+        gh = g * gd
         m1 = gh.mean(axis=-1, keepdims=True)
         t = gh * xhat
         m2 = t.mean(axis=-1, keepdims=True)
@@ -618,7 +645,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         db = gf.sum(axis=(0, 1))
         # a C-ordered copy of gf: at batch 1 a reshape would keep its layout
         gflat = np.ascontiguousarray(gf).reshape(-1, cout)
-        dw = (gflat.T @ cols.reshape(-1, cin * k * k)).reshape(w.shape)
+        dw = (gflat.T @ cols.reshape(-1, cin * k * k)).reshape(cout, cin, k, k)
         dcols = gf @ wmat                                       # (B, P, cin*k*k)
         dxp = _col2im(dcols, (bsz, cin, h + 2 * pad, wdt + 2 * pad), k, stride, ho, wo)
         dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp

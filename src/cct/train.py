@@ -130,14 +130,12 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
     """Full training loop: per-epoch train/val metrics rows, checkpoints
     every `checkpoint_every` epochs plus a final one."""
     say = log or (lambda msg: None)
-    os.makedirs(out_dir, exist_ok=True)
-    train_records, norm = _train_split(data_dir)
-    val_records = load_records(os.path.join(os.fspath(data_dir), TEST_FILE))
     metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
     final_path = os.path.join(os.fspath(out_dir), "checkpoint_final.bin")
 
     cfg = run.model_config()
     hp = run.hyperparams()
+    # a refused resume raises before anything is created or read
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
         if ck.cfg != cfg:
@@ -159,6 +157,10 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         params = init_params(cfg, run.seed)
         state = init_adamw_state(params)
         start_epoch = 0
+
+    os.makedirs(out_dir, exist_ok=True)
+    train_records, norm = _train_split(data_dir)
+    val_records = load_records(os.path.join(os.fspath(data_dir), TEST_FILE))
 
     steps_per_epoch = (len(train_records) + run.batch_size - 1) // run.batch_size
     step = start_epoch * steps_per_epoch

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 import threading
 
@@ -79,14 +80,21 @@ def test_rejects_unknown_version(tmp_path):
         load_checkpoint(path)
 
 
+def _put_header(path, header):
+    """Replace the file's JSON header with `header`, dumped as saves do."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                     + raw[12 + hlen:])
+
+
 def _rewrite_header(path, edit):
     raw = path.read_bytes()
     hlen = struct.unpack("<I", raw[8:12])[0]
     header = json.loads(raw[12:12 + hlen])
     edit(header)
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                     + raw[12 + hlen:])
+    _put_header(path, header)
 
 
 def _save_with_optimizer(path):
@@ -113,6 +121,43 @@ def test_rejects_header_with_an_unknown_key(tmp_path, section, key):
     _save_with_optimizer(path)
     _rewrite_header(path, lambda h: h[section].update({key: 1}))
     with pytest.raises(CheckpointError, match=rf"missing \[\], extra \['{key}'\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["model", "optimizer", "seed", "epoch", "opt_t"])
+def test_rejects_header_without_a_top_level_key(tmp_path, key):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header keys .*missing \['{key}'\]"):
+        load_checkpoint(path)
+
+
+def test_rejects_header_with_an_unknown_top_level_key(tmp_path):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h.update(step=3))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header keys .*extra \['step'\]"):
+        load_checkpoint(path)
+
+
+def test_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _put_header(path, ["model", "optimizer", "seed", "epoch", "opt_t"])
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header is not a JSON object"):
+        load_checkpoint(path)
+
+
+def test_rejects_header_config_that_fails_validation(tmp_path):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["model"].update(n_heads=3))
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: header "
+                                              rf"ModelConfig is not valid: .*n_heads=3"):
         load_checkpoint(path)
 
 

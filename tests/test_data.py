@@ -108,6 +108,32 @@ def test_write_then_load_roundtrip(tmp_path):
     assert listed.read_bytes() == raw
 
 
+def test_load_maps_the_file_instead_of_copying_it(tmp_path):
+    path = tmp_path / "r.bin"
+    write_records(path, synthetic_dataset(2000, 10, seed=0))  # 6.1 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = load_records(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 2000 and not recs.array.flags.writeable
+    assert held < 2000 * RECORD_BYTES // 10, held
+
+
+def test_rewriting_a_split_keeps_the_records_already_loaded(tmp_path):
+    path = tmp_path / "r.bin"
+    first, second = synthetic_dataset(9, 5, seed=0), synthetic_dataset(4, 5, seed=1)
+    write_records(path, first)
+    loaded = load_records(path)
+    write_records(path, second)
+    assert loaded.array.tobytes() == first.array.tobytes()
+    write_records(path, loaded)  # a split written back over its own file
+    assert load_records(path).array.tobytes() == first.array.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.bin"]
+
+
 def test_load_records_rejects_truncated_file(tmp_path):
     path = tmp_path / "r.bin"
     path.write_bytes(b"\x00" * (2 * RECORD_BYTES + 7))

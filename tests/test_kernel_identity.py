@@ -4,12 +4,20 @@ gelu, softmax_rows, layernorm, maxpool2d and linear work in place on as few
 buffers as they can. They must still give the same bytes, forward and
 backward, as the plain formulas in oracles.py, and their backward rules must
 leave the upstream gradient and every array the forward kept untouched.
+Every rule reads only what its op bound when it ran, so it gives the same
+bytes after the output and the parents have dropped their data.
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cct.tensor import (Tensor, add, conv2d, gelu, layernorm, linear, matmul,
-                        maxpool2d, no_grad, relu, softmax_rows)
+from cct import tensor
+from cct.tensor import (Tensor, add, conv2d, cross_entropy, dropout, gelu,
+                        layernorm, linear, map_chunks, matmul, maxpool2d, mul,
+                        no_grad, relu, reshape, scale, softmax_rows, tensor_sum,
+                        transpose)
 
 from oracles import (ref_add, ref_conv2d, ref_gelu, ref_layernorm, ref_linear,
                      ref_matmul, ref_maxpool2d, ref_relu, ref_softmax_rows)
@@ -197,3 +205,71 @@ def test_one_dim_row_kernel_matches_reference(name):
         want, want_rule = ref_layernorm(x, gamma, beta, eps=1e-5)
     assert out.data.tobytes() == want.tobytes()
     assert [a.tobytes() for a in out._rule(g)] == [a.tobytes() for a in want_rule(g)]
+
+
+# ---------------------------------------------------------------------------
+# a rule reads only what its op bound at forward time
+# ---------------------------------------------------------------------------
+
+def _release_case(name, rng):
+    """(op on Tensors, float32 inputs) for each op that records a rule."""
+    a = f32(rng, 3, 4, 5)
+    image = f32(rng, 2, 3, 8, 8)
+    return {
+        "add": (add, [a, f32(rng, 5)]),
+        "mul": (mul, [a, f32(rng, 4, 1)]),
+        "scale": (lambda x: scale(x, 0.5), [a]),
+        "sum": (tensor_sum, [a]),
+        "reshape": (lambda x: reshape(x, (12, 5)), [a]),
+        "transpose": (lambda x: transpose(x, (2, 0, 1)), [a]),
+        "matmul": (matmul, [f32(rng, 4, 4), a[:, :, :4]]),
+        "linear": (linear, [a, f32(rng, 5, 6), f32(rng, 6)]),
+        "linear_nobias": (linear, [a, f32(rng, 5, 6)]),
+        "relu": (relu, [a]),
+        "gelu": (gelu, [a]),
+        "softmax_rows": (lambda x: softmax_rows(x, scale=0.5), [a]),
+        "layernorm": (layernorm, [a, f32(rng, 5), f32(rng, 5)]),
+        "conv2d": ((lambda x, w, b: conv2d(x, w, b, stride=1, pad=1)),
+                   [image, f32(rng, 6, 3, 3, 3), f32(rng, 6)]),
+        "maxpool2d": ((lambda x: maxpool2d(x, k=3, stride=2, pad=1)), [image]),
+        "dropout": ((lambda x: dropout(x, 0.5, True, 0)), [a]),
+        "dropout_all": ((lambda x: dropout(x, 1.0, True, 0)), [a]),
+        "cross_entropy": ((lambda z: cross_entropy(z, np.array([0, 3, 1]))),
+                          [f32(rng, 3, 5)]),
+        "chunks": ((lambda x, w: map_chunks(lambda xc, c: gelu(linear(xc, w)),
+                                            x, [w], work=1)),
+                   [f32(rng, 6, 5), f32(rng, 5, 4)]),
+    }[name]
+
+
+RELEASE_CASES = ["add", "mul", "scale", "sum", "reshape", "transpose", "matmul",
+                 "linear", "linear_nobias", "relu", "gelu", "softmax_rows",
+                 "layernorm", "conv2d", "maxpool2d", "dropout", "dropout_all",
+                 "cross_entropy", "chunks"]
+
+
+def test_release_cases_cover_every_op_that_records():
+    recorded = set(re.findall(r'_record\("(\w+)"', Path(tensor.__file__).read_text()))
+    covered = set()
+    rng = np.random.default_rng(0)
+    for name in RELEASE_CASES:
+        op, arrays = _release_case(name, rng)
+        covered.add(op(*[Tensor(x, requires_grad=True) for x in arrays])._op)
+    assert covered == recorded
+
+
+@pytest.mark.parametrize("name", RELEASE_CASES)
+def test_rule_gives_the_same_bytes_after_its_tensors_drop_their_data(name):
+    rng = np.random.default_rng(6)
+    op, arrays = _release_case(name, rng)
+    out = op(*[Tensor(x, requires_grad=True) for x in arrays])
+    g = f32(rng, *out.shape)
+
+    def run_rule():
+        return [None if d is None else (d.shape, np.ascontiguousarray(d).tobytes())
+                for d in out._rule(g)]
+
+    before = run_rule()
+    for t in (out, *out._parents):
+        t.data = None
+    assert run_rule() == before

@@ -1,5 +1,6 @@
-"""The chunk pool: its size, the OpenBLAS pin, and that the bytes a train
-step gives do not depend on how many cores run it."""
+"""The chunk pool: its size, the OpenBLAS pin, that the bytes a train step
+gives do not depend on how many cores run it, and that a chunk's graph keeps
+only the arrays its backward reads."""
 import ctypes
 import hashlib
 import json
@@ -8,13 +9,14 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cct
-from cct import tensor
+from cct import model, tensor
 from cct.data import batch_iter, compute_norm_stats, synthetic_dataset
 from cct.gradcheck import grad_check
 from cct.model import ModelConfig, forward, forward_tokens, init_params, tokenize
@@ -116,6 +118,69 @@ def test_backward_through_forward_accumulates_across_calls(monkeypatch):
     tensor.backward(loss)
     for n, t in params.items():
         assert t.grad.tobytes() == (once[n] + once[n]).tobytes(), n
+
+
+def test_a_graph_keeps_the_weights_it_was_built_with(monkeypatch):
+    """An optimizer step replaces each parameter's array; a second sweep of
+    the old graph still gives the gradients of the weights it ran with."""
+    _on_pool(monkeypatch)
+    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
+    params = init_params(cfg, 1)
+    batch = _batch(6)
+    loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
+                                batch.labels)
+    tensor.backward(loss)
+    once = {n: t.grad.copy() for n, t in params.items()}
+    for t in params.tensors():
+        t.data = t.data * 2
+        t.grad = None
+    tensor.backward(loss)
+    for n, t in params.items():
+        assert t.grad.tobytes() == once[n].tobytes(), n
+
+
+def test_chunk_graphs_drop_every_interior_output(monkeypatch):
+    """After a training forward on the pool, each chunk graph's recorded
+    nodes hold no data but the chunk's logits; backward still runs."""
+    _on_pool(monkeypatch)
+    logits_of_chunks = []
+
+    def recording_map_chunks(fn, x, params, work):
+        def chunk(xc, c):
+            logits_of_chunks.append(fn(xc, c))
+            return logits_of_chunks[-1]
+        return tensor.map_chunks(chunk, x, params, work)
+
+    monkeypatch.setattr(model, "map_chunks", recording_map_chunks)
+    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, dropout_p=0.1, seed=1)
+    params = init_params(cfg, 1)
+    batch = _batch(10)
+    logits = forward(batch.images, params, cfg, training=True, dropout_seed=2)
+    assert len(logits_of_chunks) == 3
+    for y in logits_of_chunks:
+        nodes = tensor.tape(y)
+        assert len(nodes) > 1 and nodes[-1] is y and y.data is not None
+        assert [t._op for t in nodes[:-1] if t.data is not None] == []
+    tensor.backward(tensor.cross_entropy(logits, batch.labels))
+    assert all(np.isfinite(t.grad).all() for t in params.tensors())
+
+
+@pytest.mark.parametrize("kind", ["super", "sdpa"])
+def test_a_desk_chunk_graph_holds_at_most_30_mib_per_sample(kind):
+    """The bytes a training forward of one 4-sample chunk leaves allocated
+    at the default config (d=256, 6 layers, 256 tokens)."""
+    cfg = ModelConfig(attn_kind=kind)
+    params = init_params(cfg, 0)
+    images = _batch(tensor.CHUNK).images
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = forward(images, params, cfg, training=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert logits.requires_grad
+    assert held / tensor.CHUNK <= 30 * 2**20, held / tensor.CHUNK / 2**20
 
 
 def test_float64_gradients_through_forward_match_central_differences(monkeypatch):

@@ -178,6 +178,20 @@ def test_resume_rejects_config_mismatch(data_dir, tmp_path):
         train(reseeded, data_dir, tmp_path / "out3", resume_from=result["checkpoint"])
 
 
+def test_refused_resume_creates_and_reads_nothing(data_dir, tmp_path, monkeypatch):
+    result = train(RunConfig(**TINY), data_dir, tmp_path / "out")
+    reads = []
+    real_load = cct.train.load_records
+    monkeypatch.setattr(cct.train, "load_records",
+                        lambda *a, **k: reads.append(a) or real_load(*a, **k))
+    out = tmp_path / "new"
+    with pytest.raises(ConfigError, match="model config"):
+        train(RunConfig(**{**TINY, "d_model": 64}), data_dir, out,
+              resume_from=result["checkpoint"])
+    assert not out.exists()
+    assert reads == []
+
+
 def test_resume_rejects_optimizer_mismatch(data_dir, tmp_path):
     result = train(RunConfig(**TINY), data_dir, tmp_path / "out")
     for change in ({"lr": 0.02}, {"weight_decay": 0.0}):
