@@ -12,6 +12,14 @@ interior node of a chunk's graph as soon as that graph is built. A
 parameter's array is bound as it was at forward time, so a graph's rules
 see the weights it was built with even after an optimizer step.
 
+No rule keeps an array it can rebuild exactly. layernorm and gelu record a
+remake of their output from arrays their own rule holds (xhat * gamma + beta
+and x * Phi(x), the same numpy steps as the forward), and linear, matmul
+and mul bind that remake in place of such an operand's array; so in a chunk
+graph no layernorm or GELU output outlives the forward. relu keeps a bool
+mask of its input and maxpool2d its argmax in the smallest unsigned type.
+no_grad records no remake.
+
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
 each chunk's reverse sweep on the pool and adds the chunks' gradients in
@@ -26,6 +34,7 @@ import ctypes
 import itertools
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -110,18 +119,24 @@ CHUNK = 4
 _GRAIN = 1 << 15
 
 
-def run_chunks(fn, n: int, work: int) -> list:
-    """[fn(0), ..., fn(n - 1)], one call per pool worker at a time.
+def run_chunks(fn, n: int, work: int, then=None) -> list:
+    """[then(fn(0)), ..., then(fn(n - 1))], one call of fn per pool worker at a time.
 
-    The calls run inline when there is one chunk or one worker, when a chunk
-    holds less than _GRAIN work, or on a pool worker, so that the pool never
-    waits on itself. Every call ends before the first failure is raised.
+    then (the identity by default) runs on the calling thread, in chunk
+    order, as soon as fn's result and every earlier one are ready; no result
+    is kept after then returns. The calls run inline when there is one chunk
+    or one worker, when a chunk holds less than _GRAIN work, or on a pool
+    worker, so that the pool never waits on itself. Every call ends before
+    the first failure is raised.
     """
+    then = then or (lambda r: r)
     if n < 2 or _WORKERS < 2 or work < _GRAIN or getattr(_local, "worker", False):
-        return [fn(i) for i in range(n)]
-    futures = [_pool.submit(fn, i) for i in range(n)]
-    wait(futures)
-    return [f.result() for f in futures]
+        return [then(fn(i)) for i in range(n)]
+    pending = deque(_pool.submit(fn, i) for i in range(n))
+    try:
+        return [then(pending.popleft().result()) for _ in range(n)]
+    finally:
+        wait(pending)
 
 
 _ids = itertools.count()
@@ -141,7 +156,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_op", "_parents", "_rule")
+    __slots__ = ("data", "grad", "requires_grad", "node_id", "_op", "_parents", "_rule",
+                 "_remake")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray):
@@ -157,6 +173,7 @@ class Tensor:
         self._op = None
         self._parents = ()
         self._rule = None
+        self._remake = None
 
     @property
     def shape(self):
@@ -232,7 +249,9 @@ def _recording(parents) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _record(op: str, out_data: np.ndarray, parents, rule) -> Tensor:
+def _record(op: str, out_data: np.ndarray, parents, rule, remake=None) -> Tensor:
+    """The output tensor of an op; remake, if given, rebuilds out_data exactly
+    from arrays that rule already holds."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -242,12 +261,23 @@ def _record(op: str, out_data: np.ndarray, parents, rule) -> Tensor:
         out._op = op
         out._parents = tuple(parents)
         out._rule = rule
+        out._remake = remake
     else:
         out.requires_grad = False
         out._op = None
         out._parents = ()
         out._rule = None
+        out._remake = None
     return out
+
+
+def _kept(t: Tensor):
+    """What a rule binds to read t's data: t's remake when its op recorded
+    one, else a function that returns the array t holds now."""
+    if t._remake is not None:
+        return t._remake
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -317,17 +347,6 @@ def backward(loss: Tensor) -> None:
             p.grad = np.array(pg, dtype=p.data.dtype) if p.grad is None else p.grad + pg
 
 
-def _sum_in_order(parts):
-    """parts[0] + parts[1] + ... added left to right, skipping None."""
-    parts = [p for p in parts if p is not None]
-    if len(parts) < 2:
-        return parts[0] if parts else None
-    total = parts[0] + parts[1]
-    for p in parts[2:]:
-        total += p
-    return total
-
-
 def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     """fn over CHUNK-sample slices of x, concatenated, as one op on (x, *params).
 
@@ -335,9 +354,10 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     be leaves; the chunks run through run_chunks (work: activation elements
     per chunk). Once a chunk's graph is built, every recorded node in it but
     its output drops its data: the rules hold what they read. The rule runs
-    each chunk's sweep the same way and adds the chunks' parameter gradients
-    in chunk order. The chunk graphs keep their structure, so the op can be
-    swept again.
+    each chunk's sweep the same way and adds each chunk's parameter
+    gradients, as they arrive, into sums taken in chunk order (a copy of d0,
+    then += d1, += d2, ...: the bytes of d0 + d1 + ...; None is skipped).
+    The chunk graphs keep their structure, so the op can be swept again.
     """
     n = len(x.data)
     params = tuple(params)
@@ -358,10 +378,20 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
             xc, y = chunks[c]
             return gradients(y, g[c * CHUNK:(c + 1) * CHUNK], (xc, *params))
 
-        per_chunk = run_chunks(sweep, len(chunks), work)
-        dx = np.concatenate([d[0] for d in per_chunk]) if x.requires_grad else None
-        return (dx, *(_sum_in_order([d[i] for d in per_chunk])
-                      for i in range(1, len(params) + 1)))
+        sums = [None] * len(params)
+
+        def add(d):
+            for i, pg in enumerate(d[1:]):
+                if pg is None:
+                    continue
+                if sums[i] is None:
+                    sums[i] = np.array(pg)  # pg may be a view of a rule's array
+                else:
+                    sums[i] += pg
+            return d[0]
+
+        dxs = run_chunks(sweep, len(chunks), work, then=add)
+        return (np.concatenate(dxs) if x.requires_grad else None, *sums)
 
     return _record("chunks", out, (x, *params), rule)
 
@@ -390,10 +420,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from e
 
-    ad, bd = a.data, b.data
+    a_of, b_of, sa, sb = _kept(a), _kept(b), a.shape, b.shape
 
     def rule(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return _unbroadcast(g * b_of(), sa), _unbroadcast(g * a_of(), sb)
 
     return _record("mul", out, (a, b), rule)
 
@@ -448,11 +478,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul: incompatible operands {a.shape} and {b.shape}") from e
 
-    ad, bd = a.data, b.data
+    a_of, b_of, sa, sb = _kept(a), _kept(b), a.shape, b.shape
 
     def rule(g):
-        da = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        db = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        da = _unbroadcast(g @ np.swapaxes(b_of(), -1, -2), sa)
+        db = _unbroadcast(np.swapaxes(a_of(), -1, -2) @ g, sb)
         return da, db
 
     return _record("matmul", out, (a, b), rule)
@@ -465,17 +495,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
     d_in, d_out = w.shape
-    xd, wd = x.data, w.data
+    x_of, xshape, wd = _kept(x), x.shape, w.data
     # one (B*L, d_in) GEMM instead of one per leading index
-    out = xd.reshape(-1, d_in) @ wd
+    out = x.data.reshape(-1, d_in) @ wd
     if b is not None:
         out += b.data
-    out = out.reshape(xd.shape[:-1] + (d_out,))
+    out = out.reshape(xshape[:-1] + (d_out,))
 
     def rule(g):
         gf = g.reshape(-1, d_out)
-        dw = xd.reshape(-1, d_in).T @ gf
-        dx = (gf @ wd.T).reshape(xd.shape)
+        dw = x_of().reshape(-1, d_in).T @ gf
+        dx = (gf @ wd.T).reshape(xshape)
         if b is None:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
@@ -488,11 +518,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = np.maximum(ad, 0)
+    out = np.maximum(a.data, 0)
+    if not _recording((a,)):
+        return _record("relu", out, (a,), None)
+    mask = a.data > 0  # subgradient 0 at 0
 
     def rule(g):
-        return (g * (ad > 0),)  # subgradient 0 at 0
+        return (g * mask,)
 
     return _record("relu", out, (a,), rule)
 
@@ -521,7 +553,7 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(g, d, out=d)
         return (d,)
 
-    return _record("gelu", out, (a,), rule)
+    return _record("gelu", out, (a,), rule, remake=lambda: ad * cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +584,13 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     return _record("softmax_rows", s, (x,), rule)
 
 
+def _affine(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = xhat * gamma + beta, in two in-place steps; returns out."""
+    np.multiply(xhat, gd, out=out)
+    out += bd
+    return out
+
+
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -563,9 +602,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    gd = gamma.data
-    np.multiply(xhat, gd, out=out)
-    out += beta.data
+    gd, bd = gamma.data, beta.data
+    _affine(xhat, gd, bd, out)
 
     def rule(g):
         gh = g * gd
@@ -581,7 +619,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(inv, gh, out=gh)  # dx = inv * (gh - m1 - xhat * m2)
         return gh, dgamma, dbeta
 
-    return _record("layernorm", out, (x, gamma, beta), rule)
+    return _record("layernorm", out, (x, gamma, beta), rule,
+                   remake=lambda: _affine(xhat, gd, bd, np.empty_like(xhat)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +677,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     cols = _im2col(xp, k, stride, ho, wo)        # (B, ho*wo, cin*k*k)
     wmat = w.data.reshape(cout, -1)
     out = cols @ wmat.T + b.data                 # (B, ho*wo, cout)
-    out = out.transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
+    out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(bsz, cout, ho, wo)
 
     def rule(g):
         gf = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)   # (B, P, cout)
@@ -682,14 +721,14 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
         return _record("maxpool2d", best, (x,), None)
     # arg is the first window slot (row-major) that holds the max; a window
     # whose max is -inf keeps slot 0
-    arg = np.zeros((bsz, c, ho, wo), dtype=np.int32)
+    arg = np.zeros((bsz, c, ho, wo), dtype=np.min_scalar_type(k * k - 1))
     todo = best > -np.inf
     for idx, cand in enumerate(windows):
         hit = cand == best
         hit &= todo
         todo ^= hit
         if idx:
-            arg += hit * np.int32(idx)
+            arg += hit * arg.dtype.type(idx)
 
     def rule(g):
         ih, iw = np.divmod(arg.astype(np.int64), k)

@@ -12,6 +12,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     TEST_FILE,
@@ -53,6 +55,21 @@ class RunConfig(ModelConfig, AdamWHyperParams):
 
     def hyperparams(self) -> AdamWHyperParams:
         return self._project(AdamWHyperParams)
+
+
+class NonFiniteError(ArithmeticError):
+    """A train step gave a loss or a gradient that is NaN or infinite."""
+
+
+def _check_finite(loss, params, epoch: int, step: int) -> None:
+    """Raise NonFiniteError naming the loss or else the first parameter, in
+    canonical order, whose gradient holds a NaN or an infinity."""
+    where = f"epoch {epoch}, step {step}"
+    if not np.isfinite(loss.data):
+        raise NonFiniteError(f"{where}: the loss is {loss.item()}")
+    for name, t in params.items():
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            raise NonFiniteError(f"{where}: the gradient of {name} is not finite")
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -176,6 +193,8 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
                 loss = cross_entropy(logits, batch.labels)
                 params.zero_grad()
                 backward(loss)
+                # before the update, so params, state and checkpoints stay as they were
+                _check_finite(loss, params, epoch, step)
                 grads = {name: t.grad for name, t in params.items()}
                 adamw_step(params, grads, state, hp)
                 step += 1

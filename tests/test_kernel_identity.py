@@ -5,7 +5,9 @@ buffers as they can. They must still give the same bytes, forward and
 backward, as the plain formulas in oracles.py, and their backward rules must
 leave the upstream gradient and every array the forward kept untouched.
 Every rule reads only what its op bound when it ran, so it gives the same
-bytes after the output and the parents have dropped their data.
+bytes after the output and the parents have dropped their data. A layernorm
+or GELU output that feeds linear, matmul or mul is rebuilt by that consumer's
+rule, to the same bytes.
 """
 import re
 from pathlib import Path
@@ -273,3 +275,80 @@ def test_rule_gives_the_same_bytes_after_its_tensors_drop_their_data(name):
     for t in (out, *out._parents):
         t.data = None
     assert run_rule() == before
+
+
+# ---------------------------------------------------------------------------
+# a consumer rebuilds a layernorm or GELU output instead of keeping it
+# ---------------------------------------------------------------------------
+
+def _recompute_case(name, rng):
+    """(producer, its float32 inputs, consumer of (producer output, w), w)."""
+    a = f32(rng, 3, 4, 5)
+    ln = (layernorm, [a, f32(rng, 5), f32(rng, 5)])
+    return {
+        "layernorm_linear": (*ln, lambda h, w: linear(h, w), f32(rng, 5, 6)),
+        "gelu_linear": (gelu, [a], lambda h, w: linear(h, w), f32(rng, 5, 6)),
+        "layernorm_matmul": (*ln, lambda h, w: matmul(w, h), f32(rng, 4, 4)),
+        "layernorm_matmul_rhs": (*ln, lambda h, w: matmul(h, w), f32(rng, 5, 2)),
+        "gelu_mul": (gelu, [a], lambda h, w: mul(h, w), f32(rng, 4, 1)),
+    }[name]
+
+
+RECOMPUTE_CASES = ["layernorm_linear", "gelu_linear", "layernorm_matmul",
+                   "layernorm_matmul_rhs", "gelu_mul"]
+
+
+@pytest.mark.parametrize("name", RECOMPUTE_CASES)
+def test_a_consumer_rule_rebuilds_its_operand_to_the_same_bytes(name):
+    """The consumer's rule gives the bytes it gives over a leaf holding the
+    producer's output, before and after every tensor drops its data."""
+    rng = np.random.default_rng(7)
+    producer, arrays, consumer, w = _recompute_case(name, rng)
+    leaves = [Tensor(x, requires_grad=True) for x in arrays]
+    h = producer(*leaves)
+    assert h._remake().tobytes() == h.data.tobytes()
+    out = consumer(h, Tensor(w, requires_grad=True))
+    plain = consumer(Tensor(h.data.copy(), requires_grad=True), Tensor(w, requires_grad=True))
+    assert out.data.tobytes() == plain.data.tobytes()
+    g = f32(rng, *out.shape)
+
+    def run_rule(t):
+        return [(d.shape, np.ascontiguousarray(d).tobytes()) for d in t._rule(g)]
+
+    want = run_rule(plain)
+    assert run_rule(out) == want
+    for t in (out, *out._parents, *leaves):
+        t.data = None
+    assert run_rule(out) == want
+
+
+def test_no_grad_records_no_rebuild():
+    rng = np.random.default_rng(8)
+    x = Tensor(f32(rng, 3, 5), requires_grad=True)
+    with no_grad():
+        outs = [gelu(x), layernorm(x, Tensor(f32(rng, 5), requires_grad=True),
+                                   Tensor(f32(rng, 5), requires_grad=True))]
+    assert [(t._rule, t._remake) for t in outs] == [(None, None)] * 2
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv2d_returns_a_c_contiguous_nchw_array(n):
+    rng = np.random.default_rng(n)
+    arrays = [f32(rng, n, 3, 8, 8), f32(rng, 6, 3, 3, 3), f32(rng, 6)]
+    out = conv2d(*[Tensor(a, requires_grad=True) for a in arrays], stride=1, pad=1)
+    want, want_rule = ref_conv2d(*arrays, 1, 1)
+    assert out.data.flags.c_contiguous
+    assert out.data.tobytes() == want.tobytes()
+    g = f32(rng, *out.shape)
+    assert [a.tobytes() for a in out._rule(g)] == [a.tobytes() for a in want_rule(g)]
+
+
+def test_maxpool_with_more_window_slots_than_a_byte_holds():
+    """k=17 has 289 slots: the argmax keeps every one of them apart."""
+    rng = np.random.default_rng(9)
+    x = f32(rng, 2, 3, 20, 20)
+    out = maxpool2d(Tensor(x, requires_grad=True), k=17, stride=1)
+    want, want_rule = ref_maxpool2d(x, 17, 1, 0)
+    assert out.data.tobytes() == want.tobytes()
+    g = f32(rng, *out.shape)
+    assert out._rule(g)[0].tobytes() == want_rule(g)[0].tobytes()

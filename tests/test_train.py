@@ -167,6 +167,78 @@ def test_different_seed_changes_trajectory(data_dir, tmp_path):
     assert read_metrics(r1["metrics"])[0].loss != read_metrics(r2["metrics"])[0].loss
 
 
+def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None):
+    """A two-epoch TINY run (two steps per epoch, a checkpoint after each
+    epoch) whose step 2, the first of epoch 1, gets its logits passed to
+    spoil_logits after forward and its params to spoil_grads after backward.
+    Returns the NonFiniteError message, and the run's params and AdamW
+    state as they were when it was raised."""
+    seen = {}
+    real_forward, real_backward = cct.train.forward, cct.train.backward
+    real_adamw = cct.train.adamw_step
+
+    def forward(images, params, cfg, training=False, dropout_seed=0):
+        logits = real_forward(images, params, cfg, training=training,
+                              dropout_seed=dropout_seed)
+        if training:
+            seen.update(step=dropout_seed, params=params)
+            if dropout_seed == 2 and spoil_logits:
+                spoil_logits(logits)
+        return logits
+
+    def backward(loss):
+        real_backward(loss)
+        if seen["step"] == 2 and spoil_grads:
+            spoil_grads(seen["params"])
+
+    def adamw_step(params, grads, state, hp):
+        seen["state"] = state
+        real_adamw(params, grads, state, hp)
+
+    monkeypatch.setattr(cct.train, "forward", forward)
+    monkeypatch.setattr(cct.train, "backward", backward)
+    monkeypatch.setattr(cct.train, "adamw_step", adamw_step)
+    run = RunConfig(**{**TINY, "epochs": 2, "checkpoint_every": 1})
+    with pytest.raises(cct.train.NonFiniteError) as err:
+        train(run, data_dir, out)
+    return str(err.value), seen["params"], seen["state"]
+
+
+def _assert_untouched_since_checkpoint(out, params, state):
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("checkpoint")) \
+        == ["checkpoint_epoch1.bin"]
+    ck = load_checkpoint(out / "checkpoint_epoch1.bin")
+    assert ck.opt_state.t == state.t == 2
+    for name in params.names():
+        assert params[name].data.tobytes() == ck.params[name].data.tobytes(), name
+        assert state.m[name].tobytes() == ck.opt_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ck.opt_state.v[name].tobytes(), name
+
+
+def test_a_nan_loss_stops_the_run_before_the_update(data_dir, tmp_path, monkeypatch):
+    def spoil(logits):
+        logits.data[1, 3] = np.nan
+
+    out = tmp_path / "out"
+    msg, params, state = _spoiled_run(data_dir, out, monkeypatch, spoil_logits=spoil)
+    assert msg == "epoch 1, step 2: the loss is nan"
+    _assert_untouched_since_checkpoint(out, params, state)
+
+
+def test_a_non_finite_gradient_names_the_first_parameter(data_dir, tmp_path, monkeypatch):
+    names = []
+
+    def spoil(params):
+        names[:] = params.names()
+        params[names[7]].grad[0] = np.inf
+        params[names[3]].grad[..., -1] = np.nan
+
+    out = tmp_path / "out"
+    msg, params, state = _spoiled_run(data_dir, out, monkeypatch, spoil_grads=spoil)
+    assert msg == f"epoch 1, step 2: the gradient of {names[3]} is not finite"
+    _assert_untouched_since_checkpoint(out, params, state)
+
+
 def test_resume_rejects_config_mismatch(data_dir, tmp_path):
     run = RunConfig(**TINY)
     result = train(run, data_dir, tmp_path / "out")
