@@ -5,20 +5,25 @@ topologically ordered tape once and accumulates gradients into leaf
 tensors. float32 is the working precision; float64 inputs stay float64
 so the gradient checker can run the same kernels at high precision.
 
-Each op binds, when it runs, every array and shape its backward rule will
-read; a rule never reads a parent's .data or .shape. A graph then keeps
-alive only what backward needs, and map_chunks drops the .data of every
-interior node of a chunk's graph as soon as that graph is built. A
-parameter's array is bound as it was at forward time, so a graph's rules
-see the weights it was built with even after an optimizer step.
+The graph holds nodes, not arrays. An op that records returns a Tensor,
+the caller's handle, which holds the output array and a reference to the
+op's node; the node holds the op's name, its rule and its parents' nodes (a
+leaf parent is held as the leaf Tensor itself). Each op binds, when it runs,
+every array and shape its backward rule will read; a rule never reads a
+parent's .data or .shape. An output array therefore lives exactly as long as
+the caller keeps its Tensor, or a rule binds it: a graph keeps alive only
+what backward needs. A parameter's array is bound as it was at forward time,
+so a graph's rules see the weights it was built with even after an
+optimizer step.
 
 No rule keeps an array it can rebuild exactly. layernorm and gelu record a
 remake of their output from arrays their own rule holds (xhat * gamma + beta
 and x * Phi(x), the same numpy steps as the forward), and linear, matmul
-and mul bind that remake in place of such an operand's array; so in a chunk
-graph no layernorm or GELU output outlives the forward. relu keeps a bool
-mask of its input and maxpool2d its argmax in the smallest unsigned type.
-no_grad records no remake.
+and mul bind that remake in place of such an operand's array; so no
+layernorm or GELU output outlives its caller's Tensor. A sweep rebuilds such
+an output once, when its first reader needs it, and frees it when it reaches
+the producer's node. relu keeps a bool mask of its input and maxpool2d its
+argmax in the smallest unsigned type. no_grad records no remake.
 
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
@@ -155,9 +160,24 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A recorded op in the graph: its name, rule and parents, and no array."""
+    __slots__ = ("node_id", "_op", "_parents", "_rule", "data")
+    requires_grad = True
+
+    def __init__(self, op: str, parents, rule):
+        self.node_id = next(_ids)
+        self._op = op
+        # a leaf parent is its own entry in the graph
+        self._parents = tuple(p if p._node is None else p._node for p in parents)
+        self._rule = rule
+        self.data = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_op", "_parents", "_rule",
-                 "_remake")
+    """An array and, for an op's recorded output, a reference to the op's
+    node; _op, _parents and _rule read that node (a leaf has none)."""
+    __slots__ = ("data", "grad", "requires_grad", "node_id", "_node", "_remake")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray):
@@ -170,10 +190,24 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self.node_id = next(_ids)
-        self._op = None
-        self._parents = ()
-        self._rule = None
+        self._node = None
         self._remake = None
+
+    @property
+    def _op(self):
+        return None if self._node is None else self._node._op
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _rule(self):
+        return None if self._node is None else self._node._rule
+
+    @_rule.setter
+    def _rule(self, rule):
+        self._node._rule = rule
 
     @property
     def shape(self):
@@ -232,8 +266,6 @@ class Tensor:
         return matmul(self, other)
 
     def __repr__(self):
-        if self.data is None:
-            return f"Tensor(op={self._op!r}, data dropped)"
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
@@ -250,34 +282,44 @@ def _recording(parents) -> bool:
 
 
 def _record(op: str, out_data: np.ndarray, parents, rule, remake=None) -> Tensor:
-    """The output tensor of an op; remake, if given, rebuilds out_data exactly
-    from arrays that rule already holds."""
+    """The output tensor of an op, with a node in the graph when the op
+    records; remake, if given, rebuilds out_data exactly from arrays that
+    rule already holds."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.node_id = next(_ids)
     if _recording(parents):
+        out._node = _Node(op, parents, rule)
+        out.node_id = out._node.node_id
         out.requires_grad = True
-        out._op = op
-        out._parents = tuple(parents)
-        out._rule = rule
         out._remake = remake
     else:
+        out._node = None
+        out.node_id = next(_ids)
         out.requires_grad = False
-        out._op = None
-        out._parents = ()
-        out._rule = None
         out._remake = None
     return out
 
 
 def _kept(t: Tensor):
-    """What a rule binds to read t's data: t's remake when its op recorded
-    one, else a function that returns the array t holds now."""
-    if t._remake is not None:
-        return t._remake
-    data = t.data
-    return lambda: data
+    """What a rule binds to read t's data: a function that returns the array
+    t holds now or, when t's op recorded a remake, t's output rebuilt once
+    per sweep (gradients keeps it until it reaches t's node)."""
+    remake = t._remake
+    if remake is None:
+        data = t.data
+        return lambda: data
+    key = t.node_id
+
+    def rebuilt():
+        remade = getattr(_local, "remade", None)
+        if remade is None:  # a rule called outside a sweep
+            return remake()
+        if key not in remade:
+            remade[key] = remake()
+        return remade[key]
+
+    return rebuilt
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -319,17 +361,25 @@ def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
 
     Returns d(loss)/d(leaf) for each of `leaves` (None where no path leads),
     possibly as views of arrays a rule returned. It writes nothing into the
-    graph, so sweeps may run at once and again on the same graph.
+    graph, so sweeps may run at once and again on the same graph. Outputs
+    that rules rebuild are kept per sweep, on the calling thread, from their
+    first reader to their producer's node, which comes after every reader.
     """
     flow = {root.node_id: g}
-    for t in reversed(tape(root)):
-        gt = flow.pop(t.node_id, None)
-        if gt is None:
-            continue
-        for p, pg in zip(t._parents, t._rule(gt)):
-            if pg is not None and p.requires_grad:
-                pid = p.node_id
-                flow[pid] = pg if pid not in flow else flow[pid] + pg
+    outer, remade = getattr(_local, "remade", None), {}
+    _local.remade = remade
+    try:
+        for t in reversed(tape(root)):
+            remade.pop(t.node_id, None)
+            gt = flow.pop(t.node_id, None)
+            if gt is None:
+                continue
+            for p, pg in zip(t._parents, t._rule(gt)):
+                if pg is not None and p.requires_grad:
+                    pid = p.node_id
+                    flow[pid] = pg if pid not in flow else flow[pid] + pg
+    finally:
+        _local.remade = outer
     return [flow.get(t.node_id) for t in leaves]
 
 
@@ -352,23 +402,20 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
 
     fn(x_chunk, c) builds chunk c's graph from x_chunk and params, which must
     be leaves; the chunks run through run_chunks (work: activation elements
-    per chunk). Once a chunk's graph is built, every recorded node in it but
-    its output drops its data: the rules hold what they read. The rule runs
-    each chunk's sweep the same way and adds each chunk's parameter
-    gradients, as they arrive, into sums taken in chunk order (a copy of d0,
-    then += d1, += d2, ...: the bytes of d0 + d1 + ...; None is skipped).
-    The chunk graphs keep their structure, so the op can be swept again.
+    per chunk). A chunk graph keeps only its output's array and what its
+    rules bind. The rule runs each chunk's sweep the same way and adds each
+    chunk's parameter gradients, as they arrive, into sums taken in chunk
+    order (a copy of d0, then += d1, += d2, ...: the bytes of d0 + d1 + ...;
+    None is skipped). The chunk graphs are kept, so the op can be swept
+    again.
     """
     n = len(x.data)
     params = tuple(params)
+    need_dx = x.requires_grad
 
     def forward(c):
-        xc = Tensor(x.data[c * CHUNK:(c + 1) * CHUNK], requires_grad=x.requires_grad)
-        y = fn(xc, c)
-        for t in tape(y):
-            if t is not y:
-                t.data = None
-        return xc, y
+        xc = Tensor(x.data[c * CHUNK:(c + 1) * CHUNK], requires_grad=need_dx)
+        return xc, fn(xc, c)
 
     chunks = run_chunks(forward, max(1, -(-n // CHUNK)), work)
     out = np.concatenate([y.data for _, y in chunks])
@@ -391,7 +438,7 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
             return d[0]
 
         dxs = run_chunks(sweep, len(chunks), work, then=add)
-        return (np.concatenate(dxs) if x.requires_grad else None, *sums)
+        return (np.concatenate(dxs) if need_dx else None, *sums)
 
     return _record("chunks", out, (x, *params), rule)
 
@@ -495,7 +542,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} does not match w {w.shape}")
     d_in, d_out = w.shape
-    x_of, xshape, wd = _kept(x), x.shape, w.data
+    x_of, xshape, wd, has_b = _kept(x), x.shape, w.data, b is not None
     # one (B*L, d_in) GEMM instead of one per leading index
     out = x.data.reshape(-1, d_in) @ wd
     if b is not None:
@@ -506,7 +553,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         gf = g.reshape(-1, d_out)
         dw = x_of().reshape(-1, d_in).T @ gf
         dx = (gf @ wd.T).reshape(xshape)
-        if b is None:
+        if not has_b:
             return dx, dw
         return dx, dw, gf.sum(axis=0)
 
@@ -678,6 +725,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wmat = w.data.reshape(cout, -1)
     out = cols @ wmat.T + b.data                 # (B, ho*wo, cout)
     out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(bsz, cout, ho, wo)
+    need_dx = x.requires_grad
 
     def rule(g):
         gf = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)   # (B, P, cout)
@@ -685,6 +733,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         # a C-ordered copy of gf: at batch 1 a reshape would keep its layout
         gflat = np.ascontiguousarray(gf).reshape(-1, cout)
         dw = (gflat.T @ cols.reshape(-1, cin * k * k)).reshape(cout, cin, k, k)
+        if not need_dx:
+            return None, dw, db
         dcols = gf @ wmat                                       # (B, P, cin*k*k)
         dxp = _col2im(dcols, (bsz, cin, h + 2 * pad, wdt + 2 * pad), k, stride, ho, wo)
         dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp

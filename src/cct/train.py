@@ -149,6 +149,8 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
     say = log or (lambda msg: None)
     metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
     final_path = os.path.join(os.fspath(out_dir), "checkpoint_final.bin")
+    # the params and AdamW state that a non-finite step started from
+    nonfinite_path = os.path.join(os.fspath(out_dir), "checkpoint_nonfinite.bin")
 
     cfg = run.model_config()
     hp = run.hyperparams()
@@ -194,7 +196,11 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
                 params.zero_grad()
                 backward(loss)
                 # before the update, so params, state and checkpoints stay as they were
-                _check_finite(loss, params, epoch, step)
+                try:
+                    _check_finite(loss, params, epoch, step)
+                except NonFiniteError:
+                    save_checkpoint(nonfinite_path, cfg, params, run.seed, epoch, hp, state)
+                    raise
                 grads = {name: t.grad for name, t in params.items()}
                 adamw_step(params, grads, state, hp)
                 step += 1

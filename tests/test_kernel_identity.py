@@ -343,6 +343,22 @@ def test_conv2d_returns_a_c_contiguous_nchw_array(n):
     assert [a.tobytes() for a in out._rule(g)] == [a.tobytes() for a in want_rule(g)]
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv2d_computes_no_input_gradient_for_an_input_that_needs_none(n):
+    """An image batch (requires_grad=False) gets dx None; dw and db are the
+    oracle's bytes."""
+    rng = np.random.default_rng(10 + n)
+    arrays = [f32(rng, n, 3, 8, 8), f32(rng, 6, 3, 3, 3), f32(rng, 6)]
+    x = Tensor(arrays[0])
+    out = conv2d(x, *[Tensor(a, requires_grad=True) for a in arrays[1:]], stride=1, pad=1)
+    _, want_rule = ref_conv2d(*arrays, 1, 1)
+    g = f32(rng, *out.shape)
+    dx, dw, db = out._rule(g)
+    _, want_dw, want_db = want_rule(g)
+    assert dx is None
+    assert (dw.tobytes(), db.tobytes()) == (want_dw.tobytes(), want_db.tobytes())
+
+
 def test_maxpool_with_more_window_slots_than_a_byte_holds():
     """k=17 has 289 slots: the argmax keeps every one of them apart."""
     rng = np.random.default_rng(9)

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cct import tensor
 from cct.tensor import (
     AutodiffError,
     ConfigError,
@@ -473,6 +476,110 @@ def test_backward_reads_rule_at_replay_time():
     backward(y.sum())
     assert calls == [(2,)]
     npt.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
+
+
+def test_a_rule_wrapped_on_an_interior_output_runs_from_a_later_root():
+    # as a tracer wraps each op's rule as it returns; the caller then drops
+    # the output and backward starts from a root built on top of it
+    x = t64([1.0, -2.0], requires_grad=True)
+    h = x * x
+    rule, calls = h._rule, []
+
+    def wrapped(g):
+        calls.append(g.shape)
+        return rule(g)
+
+    h._rule = wrapped
+    root = (relu(h) * 3.0).sum()
+    del h
+    backward(root)
+    assert calls == [(2,)]
+    npt.assert_allclose(x.grad, 6 * x.data, rtol=1e-12)
+
+
+def _shared_layernorm_graph():
+    """A layernorm output read by two linears; (root, leaves, the linears)."""
+    rng = np.random.default_rng(0)
+    x, gamma, beta = (t64(rng.normal(size=s), True) for s in ((2, 3, 4), (4,), (4,)))
+    w1, w2 = t64(rng.normal(size=(4, 5)), True), t64(rng.normal(size=(4, 5)), True)
+    h = layernorm(x, gamma, beta)
+    a, b = linear(h, w1), linear(h, w2)
+    return (a * b).sum(), (x, gamma, beta, w1, w2), (a, b)
+
+
+def _count_rebuilds(monkeypatch):
+    calls = []
+    real = tensor._affine
+    monkeypatch.setattr(tensor, "_affine",
+                        lambda *args: calls.append(threading.get_ident()) or real(*args))
+    return calls
+
+
+def _same_bytes(d1, d2):
+    return [d.tobytes() for d in d1] == [d.tobytes() for d in d2]
+
+
+def test_a_sweep_rebuilds_an_operand_with_two_readers_once(monkeypatch):
+    root, leaves, _ = _shared_layernorm_graph()
+    calls = _count_rebuilds(monkeypatch)
+    first = tensor.gradients(root, np.ones(()), leaves)
+    assert len(calls) == 1
+    assert _same_bytes(tensor.gradients(root, np.ones(()), leaves), first)
+    assert len(calls) == 2
+    assert getattr(tensor._local, "remade", None) is None
+
+
+def test_a_nested_sweep_of_the_same_graph_rebuilds_its_own_copy(monkeypatch):
+    """A sweep started inside a rule of the graph it sweeps keeps its own
+    rebuilds and leaves the outer sweep's in place."""
+    root, leaves, (a, _) = _shared_layernorm_graph()
+    want = tensor.gradients(root, np.ones(()), leaves)
+    calls = _count_rebuilds(monkeypatch)
+    rule, inner = a._rule, []
+
+    def nested(g):
+        a._rule = rule  # the nested sweep runs the plain rule
+        inner.append(tensor.gradients(root, np.ones(()), leaves))
+        return rule(g)
+
+    a._rule = nested
+    outer = tensor.gradients(root, np.ones(()), leaves)
+    assert len(calls) == 2
+    assert _same_bytes(inner[0], want) and _same_bytes(outer, want)
+
+
+def test_concurrent_sweeps_of_one_graph_each_rebuild_their_own_copy(monkeypatch):
+    """Sweep 1 reads the shared operand only after sweep 0 has rebuilt it,
+    while sweep 0 still holds its copy: sweep 1 still rebuilds its own."""
+    root, leaves, (a, b) = _shared_layernorm_graph()
+    want = tensor.gradients(root, np.ones(()), leaves)
+    calls = _count_rebuilds(monkeypatch)
+    turn, state = [threading.Event(), threading.Event()], threading.local()
+
+    def in_turn(rule):
+        def run(g):
+            if getattr(state, "done", True):
+                return rule(g)
+            state.done = True
+            if state.i == 1:
+                turn[0].wait(10)
+            out = rule(g)
+            turn[state.i].set()
+            if state.i == 0:
+                turn[1].wait(10)
+            return out
+        return run
+
+    a._rule, b._rule = in_turn(a._rule), in_turn(b._rule)
+
+    def sweep(i):
+        state.i, state.done = i, False
+        return tensor.gradients(root, np.ones(()), leaves)
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(sweep, range(2)))
+    assert len(calls) == len(set(calls)) == 2  # one rebuild on each thread
+    assert all(_same_bytes(r, want) for r in results)
 
 
 def test_no_grad_blocks_recording():

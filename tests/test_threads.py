@@ -280,6 +280,74 @@ def test_a_desk_chunk_graph_holds_at_most_22_mib_per_sample(kind):
     assert held / tensor.CHUNK <= 22 * 2**20, held / tensor.CHUNK / 2**20
 
 
+@pytest.mark.parametrize("kind", ["super", "sdpa"])
+def test_a_desk_chunk_forward_peaks_at_most_26_mib_per_sample(kind):
+    """Interior outputs die with their callers' references, so the bytes a
+    training forward of one 4-sample chunk at the default config allocates
+    at its peak stay near what it keeps."""
+    cfg = ModelConfig(attn_kind=kind)
+    params = init_params(cfg, 0)
+    images = _batch(tensor.CHUNK).images
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = forward(images, params, cfg, training=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert logits.requires_grad
+    assert peak / tensor.CHUNK <= 26 * 2**20, peak / tensor.CHUNK / 2**20
+
+
+def test_a_layernorm_output_is_freed_when_its_caller_drops_it(monkeypatch):
+    """Inside a chunk's forward, each layernorm output array is gone by the
+    time the next layernorm runs: the graph does not hold it."""
+    alive_at_each_layernorm, refs = [], []
+    real_record = tensor._record
+
+    def record(op, out_data, *args, **kwargs):
+        if op == "layernorm":
+            alive_at_each_layernorm.append([r() is not None for r in refs])
+            refs.append(weakref.ref(_base(out_data)))
+        return real_record(op, out_data, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_record", record)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    params = init_params(cfg, 1)
+    batch = _batch(tensor.CHUNK)
+    logits = forward(batch.images, params, cfg, training=True, dropout_seed=2)
+    assert alive_at_each_layernorm == [[False] * i for i in range(5)]
+    tensor.backward(tensor.cross_entropy(logits, batch.labels))
+    assert all(np.isfinite(t.grad).all() for t in params.tensors())
+
+
+@pytest.mark.parametrize("kind", ["super", "sdpa"])
+def test_a_desk_chunk_sweep_rebuilds_each_layernorm_output_once(monkeypatch, kind):
+    """ln1's output has three readers per layer and final_ln's two (26
+    reads in all); one sweep rebuilds each layernorm output once, 13 in all,
+    and gives the gradients of a graph that keeps every operand's array."""
+    cfg = ModelConfig(attn_kind=kind)
+    params = init_params(cfg, 0)
+    batch = _batch(tensor.CHUNK)
+
+    def grads():
+        loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
+                                    batch.labels)
+        params.zero_grad()
+        calls = []
+        real = tensor._affine
+        monkeypatch.setattr(tensor, "_affine",
+                            lambda *args: calls.append(1) or real(*args))
+        tensor.backward(loss)
+        monkeypatch.setattr(tensor, "_affine", real)
+        return len(calls), [t.grad.tobytes() for t in params.tensors()]
+
+    rebuilds, got = grads()
+    assert rebuilds == 2 * cfg.n_layers + 1
+    monkeypatch.setattr(tensor, "_kept", lambda t: (lambda d=t.data: d))
+    assert grads() == (0, got)
+
+
 def test_float64_gradients_through_forward_match_central_differences(monkeypatch):
     """Two chunks, the last one partial, with dropout keyed by chunk: the
     chunk op's gradients for the images and every parameter."""

@@ -206,7 +206,7 @@ def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None
 
 def _assert_untouched_since_checkpoint(out, params, state):
     assert sorted(p.name for p in out.iterdir() if p.name.startswith("checkpoint")) \
-        == ["checkpoint_epoch1.bin"]
+        == ["checkpoint_epoch1.bin", "checkpoint_nonfinite.bin"]
     ck = load_checkpoint(out / "checkpoint_epoch1.bin")
     assert ck.opt_state.t == state.t == 2
     for name in params.names():
@@ -223,6 +223,14 @@ def test_a_nan_loss_stops_the_run_before_the_update(data_dir, tmp_path, monkeypa
     msg, params, state = _spoiled_run(data_dir, out, monkeypatch, spoil_logits=spoil)
     assert msg == "epoch 1, step 2: the loss is nan"
     _assert_untouched_since_checkpoint(out, params, state)
+    # the diagnostic checkpoint holds what step 2 started from
+    ck = load_checkpoint(out / "checkpoint_nonfinite.bin")
+    assert (ck.epoch, ck.opt_state.t) == (1, 2)
+    for name in params.names():
+        assert ck.params[name].data.tobytes() == params[name].data.tobytes(), name
+        assert ck.opt_state.m[name].tobytes() == state.m[name].tobytes(), name
+        assert ck.opt_state.v[name].tobytes() == state.v[name].tobytes(), name
+    assert len(read_metrics(out / "metrics.csv")) == 2
 
 
 def test_a_non_finite_gradient_names_the_first_parameter(data_dir, tmp_path, monkeypatch):
