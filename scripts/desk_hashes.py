@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""Same-seed desk hashes: a fingerprint of a short training run's metrics.
+
+Trains each attention kind for 2 epochs at the desk config (d_model 256,
+6 layers, 4 heads, batch 32, seed 3, augmentation on) on 128 synthetic train
+and 64 synthetic test records, and prints, per kind, the first 16 hex digits
+of the sha256 of its metrics.csv lines with the wall_time_s column dropped,
+joined by newlines. A change that keeps the trajectory bit-identical keeps
+these hashes.
+
+Usage: python3 scripts/desk_hashes.py [KIND ...]   (default: super sdpa)
+"""
+import hashlib
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from cct.data import TEST_FILE, TRAIN_FILE, synthetic_dataset, write_records  # noqa: E402
+from cct.train import RunConfig, train  # noqa: E402
+
+
+def desk_hash(attn_kind: str, work: str) -> str:
+    data_dir = os.path.join(work, "data")
+    os.makedirs(data_dir, exist_ok=True)
+    write_records(os.path.join(data_dir, TRAIN_FILE), synthetic_dataset(128, 100, seed=0))
+    write_records(os.path.join(data_dir, TEST_FILE), synthetic_dataset(64, 100, seed=1))
+    run = RunConfig(attn_kind=attn_kind, d_model=256, n_layers=6, n_heads=4,
+                    epochs=2, batch_size=32, seed=3, augment=True,
+                    eval_batch_size=64)
+    result = train(run, data_dir, os.path.join(work, attn_kind))
+    with open(result["metrics"]) as f:
+        # wall_time_s is the last column
+        lines = [line.rstrip("\r\n").rsplit(",", 1)[0] for line in f]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def main(kinds) -> None:
+    with tempfile.TemporaryDirectory() as work:
+        for kind in kinds:
+            print(kind, desk_hash(kind, work), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:] or ["super", "sdpa"])

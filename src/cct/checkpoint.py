@@ -5,9 +5,9 @@ Layout (all integers little-endian):
     version u32      currently 2; others are refused (1 had six more model keys)
     hlen    u32      length of the JSON header
     header  hlen bytes of UTF-8 JSON: an object of exactly five keys, the
-                     model config, optimizer hyperparameters (or null), seed,
-                     epoch and optimizer step count (or null); the two config
-                     objects carry exactly their class's fields
+                     model config, optimizer hyperparameters, seed, epoch and
+                     optimizer step count; the two config objects carry
+                     exactly their class's fields, and none is null
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name nlen bytes UTF-8
@@ -16,8 +16,8 @@ Layout (all integers little-endian):
         dims  rank * u32
         data  raw little-endian values
 
-Model parameters appear first in canonical order; if optimizer state is
-stored, each parameter is followed by adamw.m.<name> and adamw.v.<name>.
+Parameters appear in canonical order, each followed by its AdamW moments
+adamw.m.<name> and adamw.v.<name>.
 Round-trips are bit-exact; a failed save leaves the previous file intact.
 """
 from __future__ import annotations
@@ -51,8 +51,8 @@ class CheckpointData:
     params: ParameterSet
     seed: int
     epoch: int
-    hp: AdamWHyperParams | None
-    opt_state: AdamWState | None
+    hp: AdamWHyperParams
+    opt_state: AdamWState
 
 
 def _write_tensor(f, name: str, arr: np.ndarray) -> None:
@@ -143,18 +143,18 @@ def _config_from_header(path, cls, values):
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
-                    epoch: int, hp: AdamWHyperParams | None = None,
-                    opt_state: AdamWState | None = None) -> None:
+                    epoch: int, hp: AdamWHyperParams,
+                    opt_state: AdamWState) -> None:
     header = {
         "model": asdict(cfg),
-        "optimizer": asdict(hp) if hp is not None else None,
+        "optimizer": asdict(hp),
         "seed": int(seed),
         "epoch": int(epoch),
-        "opt_t": int(opt_state.t) if opt_state is not None else None,
+        "opt_t": int(opt_state.t),
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     names = list(params.names())
-    count = len(names) * (3 if opt_state is not None else 1)
+    count = len(names) * 3
     with replacing(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(hbytes)))
@@ -162,9 +162,8 @@ def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
         f.write(struct.pack("<I", count))
         for name in names:
             _write_tensor(f, name, params[name].data)
-            if opt_state is not None:
-                _write_tensor(f, f"adamw.m.{name}", opt_state.m[name])
-                _write_tensor(f, f"adamw.v.{name}", opt_state.v[name])
+            _write_tensor(f, f"adamw.m.{name}", opt_state.m[name])
+            _write_tensor(f, f"adamw.v.{name}", opt_state.v[name])
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -182,12 +181,14 @@ def load_checkpoint(path) -> CheckpointData:
             raise CheckpointError(f"{path}: trailing bytes after tensor table")
 
     _check_keys(path, "header", header, _HEADER_KEYS)
+    for key in ("optimizer", "opt_t"):
+        if header[key] is None:
+            raise CheckpointError(f"{path}: header {key} is null: the checkpoint "
+                                  f"carries no optimizer state to resume from")
     cfg = _config_from_header(path, ModelConfig, header["model"])
+    hp = _config_from_header(path, AdamWHyperParams, header["optimizer"])
     expected = canonical_param_names(cfg)
-    has_opt = header["opt_t"] is not None
-    want = list(expected)
-    if has_opt:
-        want += [f"adamw.{s}.{n}" for n in expected for s in ("m", "v")]
+    want = expected + [f"adamw.{s}.{n}" for n in expected for s in ("m", "v")]
     if sorted(tensors) != sorted(want):
         missing = sorted(set(want) - set(tensors))
         extra = sorted(set(tensors) - set(want))
@@ -196,14 +197,8 @@ def load_checkpoint(path) -> CheckpointData:
 
     params = ParameterSet((name, Tensor(tensors[name], requires_grad=True))
                           for name in expected)
-
-    hp = (_config_from_header(path, AdamWHyperParams, header["optimizer"])
-          if header["optimizer"] else None)
-    opt_state = None
-    if has_opt:
-        opt_state = AdamWState(
-            t=int(header["opt_t"]),
-            m={n: tensors[f"adamw.m.{n}"] for n in expected},
-            v={n: tensors[f"adamw.v.{n}"] for n in expected})
+    opt_state = AdamWState(t=int(header["opt_t"]),
+                           m={n: tensors[f"adamw.m.{n}"] for n in expected},
+                           v={n: tensors[f"adamw.v.{n}"] for n in expected})
     return CheckpointData(cfg=cfg, params=params, seed=int(header["seed"]),
                           epoch=int(header["epoch"]), hp=hp, opt_state=opt_state)

@@ -61,15 +61,26 @@ class NonFiniteError(ArithmeticError):
     """A train step gave a loss or a gradient that is NaN or infinite."""
 
 
-def _check_finite(loss, params, epoch: int, step: int) -> None:
+def _check_finite(loss: float, grads, epoch: int, step: int) -> None:
     """Raise NonFiniteError naming the loss or else the first parameter, in
     canonical order, whose gradient holds a NaN or an infinity."""
     where = f"epoch {epoch}, step {step}"
-    if not np.isfinite(loss.data):
-        raise NonFiniteError(f"{where}: the loss is {loss.item()}")
-    for name, t in params.items():
-        if t.grad is not None and not np.isfinite(t.grad).all():
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"{where}: the loss is {loss}")
+    for name, g in grads.items():
+        if g is not None and not np.isfinite(g).all():
             raise NonFiniteError(f"{where}: the gradient of {name} is not finite")
+
+
+def train_step(params, cfg: ModelConfig, batch, step: int):
+    """One train step without the update: (loss, logits, {name: gradient})
+    in canonical order, with dropout keyed by `step`. The step's graph is
+    freed when this returns."""
+    logits = forward(batch.images, params, cfg, training=True, dropout_seed=step)
+    loss = cross_entropy(logits, batch.labels)
+    params.zero_grad()
+    backward(loss)
+    return loss.item(), logits.data, {name: t.grad for name, t in params.items()}
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -163,14 +174,13 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         if ck.seed != run.seed:
             raise ConfigError(f"checkpoint seed {ck.seed} does not match "
                               f"run seed {run.seed}")
-        if ck.hp is not None and ck.hp != hp:
+        if ck.hp != hp:
             raise ConfigError(f"checkpoint optimizer hyperparameters {ck.hp} do "
                               f"not match run hyperparameters {hp}")
         if ck.epoch >= run.epochs:
             raise ConfigError(f"checkpoint is at epoch {ck.epoch}: a run of "
                               f"{run.epochs} epochs has nothing left to train")
-        params, start_epoch = ck.params, ck.epoch
-        state = ck.opt_state if ck.opt_state is not None else init_adamw_state(params)
+        params, state, start_epoch = ck.params, ck.opt_state, ck.epoch
         drop_rows_from(metrics_path, start_epoch)
     else:
         params = init_params(cfg, run.seed)
@@ -190,28 +200,22 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
             total, loss_sum, top1_sum, top5_sum = 0, 0.0, 0.0, 0.0
             for batch in batch_iter(train_records, run.batch_size, run.seed,
                                     norm, run.augment, epoch=epoch):
-                logits = forward(batch.images, params, cfg, training=True,
-                                 dropout_seed=step)
-                loss = cross_entropy(logits, batch.labels)
-                params.zero_grad()
-                backward(loss)
+                loss, logits, grads = train_step(params, cfg, batch, step)
                 # before the update, so params, state and checkpoints stay as they were
                 try:
-                    _check_finite(loss, params, epoch, step)
+                    _check_finite(loss, grads, epoch, step)
                 except NonFiniteError:
                     save_checkpoint(nonfinite_path, cfg, params, run.seed, epoch, hp, state)
                     raise
-                grads = {name: t.grad for name, t in params.items()}
                 adamw_step(params, grads, state, hp)
                 step += 1
                 b = len(batch.labels)
-                loss_sum += loss.item() * b
-                t1, t5 = _batch_metrics(logits.data, batch.labels, cfg.n_classes)
+                loss_sum += loss * b
+                t1, t5 = _batch_metrics(logits, batch.labels, cfg.n_classes)
+                del logits  # hold nothing of this step while the next one runs
                 top1_sum += t1 * b
                 top5_sum += t5 * b
                 total += b
-                # drop this step's graph before the next forward builds one
-                del logits, loss
             train_time = time.perf_counter() - t0
             writer.write(MetricsRow(
                 epoch=epoch, step=step, split="train", loss=loss_sum / total,
@@ -271,25 +275,21 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
     params = init_params(cfg, seed)
     state = init_adamw_state(params)
 
+    batch = next(iter(batch_iter(records, n, seed, norm, False)))
     history = []
     reached_at = None
     for step in range(steps):
-        batch = next(iter(batch_iter(records, n, seed, norm, False)))
-        logits = forward(batch.images, params, cfg, training=True,
-                         dropout_seed=step)
-        loss = cross_entropy(logits, batch.labels)
-        top1 = topk_accuracy(logits.data, batch.labels, 1)
-        history.append((loss.item(), top1))
+        loss, logits, grads = train_step(params, cfg, batch, step)
+        _check_finite(loss, grads, 0, step)
+        top1 = topk_accuracy(logits, batch.labels, 1)
+        del logits  # hold nothing of this step while the next one runs
+        history.append((loss, top1))
         if top1 >= target:
             reached_at = step
             break
-        params.zero_grad()
-        backward(loss)
-        adamw_step(params, {k: t.grad for k, t in params.items()}, state, hp)
+        adamw_step(params, grads, state, hp)
         if step % 25 == 0:
-            say(f"step {step}: loss {loss.item():.4f}, top1 {top1:.1f}%")
-        # drop this step's graph before the next forward builds one
-        del logits, loss
+            say(f"step {step}: loss {loss:.4f}, top1 {top1:.1f}%")
     return {"reached": reached_at is not None, "steps": reached_at,
             "top1": history[-1][1], "history": history,
             "params": params, "cfg": cfg}

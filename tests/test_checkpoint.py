@@ -14,6 +14,7 @@ from cct.model import ModelConfig, init_params
 from cct.optim import AdamWHyperParams, init_adamw_state
 
 CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, n_classes=7, img_size=8)
+HP = AdamWHyperParams()
 
 
 def _params():
@@ -23,11 +24,11 @@ def _params():
 def test_roundtrip_is_bit_exact(tmp_path):
     params = _params()
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, CFG, params, seed=3, epoch=4)
+    save_checkpoint(path, CFG, params, seed=3, epoch=4, hp=HP,
+                    opt_state=init_adamw_state(params))
     back = load_checkpoint(path)
-    assert back.cfg == CFG
+    assert back.cfg == CFG and back.hp == HP
     assert back.seed == 3 and back.epoch == 4
-    assert back.hp is None and back.opt_state is None
     assert list(back.params.names()) == list(params.names())
     for name in params.names():
         a, b = params[name].data, back.params[name].data
@@ -57,8 +58,10 @@ def test_roundtrip_with_optimizer_state(tmp_path):
 def test_save_is_deterministic(tmp_path):
     params = _params()
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(p1, CFG, params, seed=3, epoch=0)
-    save_checkpoint(p2, CFG, params, seed=3, epoch=0)
+    save_checkpoint(p1, CFG, params, seed=3, epoch=0, hp=HP,
+                    opt_state=init_adamw_state(params))
+    save_checkpoint(p2, CFG, params, seed=3, epoch=0, hp=HP,
+                    opt_state=init_adamw_state(params))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -72,7 +75,8 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_unknown_version(tmp_path):
     params = _params()
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, CFG, params, seed=0, epoch=0)
+    save_checkpoint(path, CFG, params, seed=0, epoch=0, hp=HP,
+                    opt_state=init_adamw_state(params))
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 99)
     path.write_bytes(bytes(raw))
@@ -134,6 +138,16 @@ def test_rejects_header_without_a_top_level_key(tmp_path, key):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["optimizer", "opt_t"])
+def test_rejects_header_without_optimizer_state(tmp_path, key):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h.update({key: None}))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header {key} is null"):
+        load_checkpoint(path)
+
+
 def test_rejects_header_with_an_unknown_top_level_key(tmp_path):
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)
@@ -179,7 +193,8 @@ def test_rejects_version_1(tmp_path):
 def test_rejects_truncated_file(tmp_path):
     params = _params()
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, CFG, params, seed=0, epoch=0)
+    save_checkpoint(path, CFG, params, seed=0, epoch=0, hp=HP,
+                    opt_state=init_adamw_state(params))
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -190,7 +205,9 @@ def test_rejects_name_config_mismatch(tmp_path):
     # tensors saved for an sdpa model, header edited to claim super
     cfg = dataclasses.replace(CFG, attn_kind="sdpa")
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, cfg, init_params(cfg, seed=0), seed=0, epoch=0)
+    params = init_params(cfg, seed=0)
+    save_checkpoint(path, cfg, params, seed=0, epoch=0, hp=HP,
+                    opt_state=init_adamw_state(params))
     raw = path.read_bytes()
     hlen = struct.unpack("<I", raw[8:12])[0]
     header = raw[12:12 + hlen].replace(b'"sdpa"', b'"super"')
@@ -208,7 +225,8 @@ def test_magic_constant():
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ck.bin"
     params = _params()
-    save_checkpoint(path, CFG, params, seed=3, epoch=1)
+    save_checkpoint(path, CFG, params, seed=3, epoch=1, hp=HP,
+                    opt_state=init_adamw_state(params))
     before = path.read_bytes()
     real, written = checkpoint._write_tensor, []
 
@@ -219,8 +237,10 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         real(f, name, arr)
 
     monkeypatch.setattr(checkpoint, "_write_tensor", failing)
+    other = init_params(CFG, seed=4)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, CFG, init_params(CFG, seed=4), seed=4, epoch=2)
+        save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP,
+                        opt_state=init_adamw_state(other))
     assert path.read_bytes() == before
     back = load_checkpoint(path)
     assert back.epoch == 1 and back.seed == 3
@@ -228,7 +248,8 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         assert np.array_equal(back.params[name].data, params[name].data)
     assert os.listdir(tmp_path) == ["ck.bin"]
     monkeypatch.setattr(checkpoint, "_write_tensor", real)
-    save_checkpoint(path, CFG, init_params(CFG, seed=4), seed=4, epoch=2)
+    save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP,
+                    opt_state=init_adamw_state(other))
     assert load_checkpoint(path).epoch == 2
     assert os.listdir(tmp_path) == ["ck.bin"]
 
@@ -236,10 +257,13 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_save_over_a_checkpoint_closes_the_replaced_file(tmp_path):
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, CFG, _params(), seed=3, epoch=1)
+    params = _params()
+    state = init_adamw_state(params)
+    save_checkpoint(path, CFG, params, seed=3, epoch=1, hp=HP, opt_state=state)
     before = len(os.listdir("/proc/self/fd"))
     for epoch in range(2, 5):
-        save_checkpoint(path, CFG, _params(), seed=3, epoch=epoch)
+        save_checkpoint(path, CFG, params, seed=3, epoch=epoch, hp=HP,
+                        opt_state=state)
     for t in threading.enumerate():
         # the chunk pool's idle workers live as long as the process
         if t is not threading.current_thread() and not t.name.startswith("cct-chunk"):

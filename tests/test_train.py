@@ -1,6 +1,7 @@
 """Training driver, config files, resume, evaluation, overfit probe."""
 import dataclasses
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from cct.checkpoint import load_checkpoint
-from cct.data import synthetic_dataset, write_records
+from cct.data import batch_iter, compute_norm_stats, synthetic_dataset, write_records
 from cct.metrics import read_metrics
+from cct.model import init_params, model_param_count
 import cct.train
 from cct.tensor import ConfigError
 from cct.train import (
@@ -104,6 +106,18 @@ def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
         {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
+def test_readme_states_the_default_parameter_count():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("The default configuration in this package", 1)[1]
+    found = re.search(r"(\d[\d,]*) parameters", sentence)
+    assert found, "the README states no parameter count for the default model"
+    stated = int(found.group(1).replace(",", ""))
+    full = load_run_config(ROOT / "scripts" / "full.cfg")
+    for kind in ("super", "sdpa"):
+        for run in (RunConfig(attn_kind=kind), dataclasses.replace(full, attn_kind=kind)):
+            assert model_param_count(run.model_config())["total"] == stated, kind
+
+
 def test_shipped_full_config_is_the_paper_run():
     run = load_run_config(ROOT / "scripts" / "full.cfg")
     assert (run.epochs, run.batch_size) == (75, 1024)
@@ -165,6 +179,42 @@ def test_different_seed_changes_trajectory(data_dir, tmp_path):
     r1 = train(RunConfig(**TINY), data_dir, tmp_path / "a")
     r2 = train(RunConfig(**{**TINY, "seed": 4}), data_dir, tmp_path / "b")
     assert read_metrics(r1["metrics"])[0].loss != read_metrics(r2["metrics"])[0].loss
+
+
+@pytest.fixture
+def train_step_calls(monkeypatch):
+    real, calls = cct.train.train_step, []
+
+    def spy(params, cfg, batch, step):
+        calls.append(step)
+        return real(params, cfg, batch, step)
+
+    monkeypatch.setattr(cct.train, "train_step", spy)
+    return calls
+
+
+def test_train_runs_every_step_through_train_step(data_dir, tmp_path, train_step_calls):
+    train(RunConfig(**{**TINY, "epochs": 2}), data_dir, tmp_path / "out")
+    assert train_step_calls == [0, 1, 2, 3]  # 2 epochs x 2 steps
+
+
+def test_overfit_runs_every_step_through_train_step(train_step_calls):
+    overfit(n=8, steps=3, seed=0, target=101.0)
+    assert train_step_calls == [0, 1, 2]
+
+
+def test_train_step_returns_plain_values_in_canonical_order():
+    run = RunConfig(**TINY)
+    cfg = run.model_config()
+    params = init_params(cfg, run.seed)
+    records = synthetic_dataset(8, 10, seed=0)
+    batch = next(iter(batch_iter(records, 8, 0, compute_norm_stats(records), False)))
+    loss, logits, grads = cct.train.train_step(params, cfg, batch, 0)
+    assert type(loss) is float and np.isfinite(loss)
+    assert type(logits) is np.ndarray and logits.shape == (8, cfg.n_classes)
+    assert list(grads) == list(params.names())
+    for name, t in params.items():
+        assert grads[name] is t.grad and grads[name].shape == t.shape
 
 
 def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None):
@@ -356,6 +406,20 @@ def test_overfit_reaches_target_quickly():
 def test_overfit_uses_dataset_when_present(data_dir):
     result = overfit(n=16, steps=120, seed=0, data_dir=data_dir)
     assert result["reached"]
+
+
+def test_overfit_stops_on_a_nan_loss(monkeypatch):
+    real = cct.train.forward
+
+    def forward(images, params, cfg, training=False, dropout_seed=0):
+        logits = real(images, params, cfg, training=training, dropout_seed=dropout_seed)
+        if dropout_seed == 1:
+            logits.data[0, 2] = np.nan
+        return logits
+
+    monkeypatch.setattr(cct.train, "forward", forward)
+    with pytest.raises(cct.train.NonFiniteError, match="^epoch 0, step 1: the loss is nan$"):
+        overfit(n=8, steps=3, seed=0, target=101.0)
 
 
 # ---------------------------------------------------------------------------
