@@ -2,7 +2,8 @@
 
 Layout (all integers little-endian):
     magic   4 bytes  b"CCTS"
-    version u32      currently 2; others are refused (1 had six more model keys)
+    version u32      currently 3; others are refused (1 had six more model
+                     keys, 2 one more optimizer key)
     hlen    u32      length of the JSON header
     header  hlen bytes of UTF-8 JSON: an object of exactly five keys, the
                      model config, optimizer hyperparameters, seed, epoch and
@@ -36,7 +37,7 @@ from .optim import AdamWHyperParams, AdamWState
 from .tensor import Tensor
 
 MAGIC = b"CCTS"
-VERSION = 2
+VERSION = 3
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

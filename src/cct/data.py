@@ -103,20 +103,27 @@ def load_records(path) -> Records:
 
 
 def load_cifar100(data_dir):
-    """Load the official splits; sizes are checked byte-exactly."""
-    out = {}
+    """{"train": Records, "test": Records} of data_dir's two split files: the
+    only reader of a data directory.
+
+    The files form the official pair or a subset pair: if either has its
+    official size, the other must have its own, byte-exactly; if neither
+    does, each may hold any whole number of records.
+    """
+    splits = {}
     for split, fname, n in (("train", TRAIN_FILE, TRAIN_RECORDS),
                             ("test", TEST_FILE, TEST_RECORDS)):
         path = os.path.join(os.fspath(data_dir), fname)
         if not os.path.exists(path):
             raise FileNotFoundError(f"expected dataset file {path}")
-        expected = n * RECORD_BYTES
-        actual = os.path.getsize(path)
-        if actual != expected:
-            raise DataError(f"{path}: expected {expected} bytes "
-                            f"({n} records), got {actual}")
-        out[split] = load_records(path)
-    return out
+        splits[split] = (path, n, os.path.getsize(path))
+    if any(size == n * RECORD_BYTES for _, n, size in splits.values()):
+        for path, n, size in splits.values():
+            if size != n * RECORD_BYTES:
+                raise DataError(f"{path}: expected {n * RECORD_BYTES} bytes "
+                                f"({n} records) beside an official-size "
+                                f"split, got {size}")
+    return {split: load_records(path) for split, (path, _, _) in splits.items()}
 
 
 def write_records(path, records) -> None:

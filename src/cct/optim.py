@@ -1,8 +1,8 @@
 """AdamW with decoupled weight decay, constant learning rate.
 
-Decay is applied directly to the parameter (theta -= lr * wd * theta),
-never mixed into the moment estimates. There is no scheduling and no
-gradient clipping anywhere.
+Decay is applied directly to every parameter, norm gains and biases
+included (theta -= lr * wd * theta), never mixed into the moment
+estimates. There is no scheduling and no gradient clipping anywhere.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ class AdamWHyperParams:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    # decay norms and biases too by default; switch to exempt them
-    exempt_norms_biases: bool = False
 
     def __post_init__(self):
         if self.lr <= 0 or self.eps <= 0:
@@ -47,13 +45,6 @@ def init_adamw_state(params) -> AdamWState:
     return state
 
 
-def _decay_exempt(name: str) -> bool:
-    # norms (ln gamma/beta, final norm) and every bias vector
-    if ".ln" in name or name.startswith("final_ln."):
-        return True
-    return name.rsplit(".", 1)[-1] in ("b", "b1", "b2")
-
-
 def adamw_step(params, grads, state: AdamWState, hp: AdamWHyperParams) -> None:
     """One update over all parameters; mutates params and state in place."""
     for name, p in params.items():
@@ -75,6 +66,6 @@ def adamw_step(params, grads, state: AdamWState, hp: AdamWHyperParams) -> None:
         m[...] = hp.beta1 * m + (1.0 - hp.beta1) * g
         v[...] = hp.beta2 * v + (1.0 - hp.beta2) * (g * g)
         step = hp.lr * (m / bc1) / (np.sqrt(v / bc2) + hp.eps)
-        if hp.weight_decay and not (hp.exempt_norms_biases and _decay_exempt(name)):
+        if hp.weight_decay:
             step = step + hp.lr * hp.weight_decay * p.data
         p.data = p.data - step

@@ -16,12 +16,10 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    TEST_FILE,
-    TRAIN_FILE,
     batch_iter,
     cached_norm_stats,
     compute_norm_stats,
-    load_records,
+    load_cifar100,
     synthetic_dataset,
 )
 from .metrics import MetricsRow, MetricsWriter, drop_rows_from, topk_accuracy
@@ -124,13 +122,6 @@ def load_run_config(path=None, **overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _train_split(data_dir):
-    """The train split of data_dir and its cached normalization stats."""
-    records = load_records(os.path.join(os.fspath(data_dir), TRAIN_FILE))
-    return records, cached_norm_stats(
-        records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
-
-
 def _batch_metrics(logits, labels, n_classes):
     top1 = topk_accuracy(logits, labels, 1)
     top5 = topk_accuracy(logits, labels, min(5, n_classes))
@@ -181,15 +172,19 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
             raise ConfigError(f"checkpoint is at epoch {ck.epoch}: a run of "
                               f"{run.epochs} epochs has nothing left to train")
         params, state, start_epoch = ck.params, ck.opt_state, ck.epoch
-        drop_rows_from(metrics_path, start_epoch)
     else:
         params = init_params(cfg, run.seed)
         state = init_adamw_state(params)
         start_epoch = 0
+    # a refused data directory raises before anything is created or dropped
+    splits = load_cifar100(data_dir)
+    train_records, val_records = splits["train"], splits["test"]
+    norm = cached_norm_stats(
+        train_records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
 
+    if resume_from is not None:
+        drop_rows_from(metrics_path, start_epoch)
     os.makedirs(out_dir, exist_ok=True)
-    train_records, norm = _train_split(data_dir)
-    val_records = load_records(os.path.join(os.fspath(data_dir), TEST_FILE))
 
     steps_per_epoch = (len(train_records) + run.batch_size - 1) // run.batch_size
     step = start_epoch * steps_per_epoch
@@ -247,25 +242,22 @@ def evaluate(checkpoint_path, data_dir, split: str, batch_size: int = 256):
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     ck = load_checkpoint(checkpoint_path)
-    train_records, norm = _train_split(data_dir)
-    records = (train_records if split == "train"
-               else load_records(os.path.join(os.fspath(data_dir), TEST_FILE)))
-    return evaluate_params(ck.params, ck.cfg, records, norm, batch_size)
+    splits = load_cifar100(data_dir)
+    norm = cached_norm_stats(
+        splits["train"], os.path.join(os.fspath(data_dir), "norm_stats.txt"))
+    return evaluate_params(ck.params, ck.cfg, splits[split], norm, batch_size)
 
 
 def overfit(n: int = 64, steps: int = 300, seed: int = 0,
             attn_kind: str = "super", data_dir=None, target: float = 99.0,
             log=None):
     """Memorization probe: full-batch steps on n samples with a small model
-    until train top-1 reaches `target` percent. Uses the train split when a
-    dataset is reachable, synthetic class-colored data otherwise."""
+    until train top-1 reaches `target` percent. Uses the train split of
+    `data_dir` when one is given, synthetic class-colored data otherwise."""
     say = log or (lambda msg: None)
-    records = None
     if data_dir is not None:
-        path = os.path.join(os.fspath(data_dir), TRAIN_FILE)
-        if os.path.exists(path):
-            records = load_records(path)[:n]
-    if records is None:
+        records = load_cifar100(data_dir)["train"][:n]
+    else:
         records = synthetic_dataset(n, min(n, 10), seed)
     norm = compute_norm_stats(records)
 

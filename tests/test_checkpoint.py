@@ -190,6 +190,18 @@ def test_rejects_version_1(tmp_path):
         load_checkpoint(path)
 
 
+def test_rejects_version_2(tmp_path):
+    # a version-2 header's optimizer object also carried exempt_norms_biases
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["optimizer"].update(exempt_norms_biases=False))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(path)
+
+
 def test_rejects_truncated_file(tmp_path):
     params = _params()
     path = tmp_path / "ck.bin"

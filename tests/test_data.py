@@ -1,13 +1,18 @@
 """Dataset loading, normalization, augmentation, batching, synthetic data."""
 import math
+import os
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cct.data
+import cct.train
 from cct.data import (
     IMG_SHAPE,
     RECORD,
@@ -185,6 +190,43 @@ def test_load_cifar100_rejects_wrong_size(tmp_path):
 def test_load_cifar100_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="train.bin"):
         load_cifar100(tmp_path)
+
+
+def _split_files(data_dir, train_records, test_records):
+    """All-zero split files (valid records, labels 0), written sparse so that
+    an official-size file costs no disk."""
+    for name, n in (("train.bin", train_records), ("test.bin", test_records)):
+        with open(data_dir / name, "wb") as f:
+            os.truncate(f.fileno(), n * RECORD_BYTES)
+
+
+def test_load_cifar100_refuses_official_train_beside_subset_test(tmp_path):
+    _split_files(tmp_path, 50_000, 32)
+    with pytest.raises(DataError, match=r"test\.bin: expected 30740000 bytes.*got 98368"):
+        load_cifar100(tmp_path)
+
+
+def test_load_cifar100_refuses_official_test_beside_subset_train(tmp_path):
+    _split_files(tmp_path, 64, 10_000)
+    with pytest.raises(DataError, match=r"train\.bin: expected 153700000 bytes.*got 196736"):
+        load_cifar100(tmp_path)
+
+
+@pytest.mark.parametrize("n_train,n_test", [(64, 32), (128, 64), (1000, 1000),
+                                            (2048, 512)])
+def test_load_cifar100_loads_a_subset_pair(tmp_path, n_train, n_test):
+    _split_files(tmp_path, n_train, n_test)
+    splits = load_cifar100(tmp_path)
+    assert (len(splits["train"]), len(splits["test"])) == (n_train, n_test)
+
+
+def test_only_load_cifar100_opens_a_data_directory():
+    # a second, ungated loader path would have to name the split files
+    src = Path(cct.data.__file__).parent
+    naming = sorted(p.name for p in src.glob("*.py")
+                    if re.search(r"\b(TRAIN|TEST)_FILE\b", p.read_text()))
+    assert naming == ["data.py"]
+    assert not hasattr(cct.train, "load_records")
 
 
 # ---------------------------------------------------------------------------

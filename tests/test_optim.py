@@ -108,21 +108,22 @@ def test_missing_grad_and_shape_mismatch():
         adamw_step(p, {"w": np.ones(3)}, stale, hp)
 
 
-def test_norms_and_biases_exempt_switch():
+def test_weight_decay_reaches_norms_and_biases():
     cfg = ModelConfig(attn_kind="super", d_model=8, n_layers=1, n_heads=2, seed=0)
     params = init_params(cfg, seed=0)
+    for _, t in params.items():  # zero-initialised biases could not show a decay
+        if not t.data.any():
+            t.data = np.full(t.shape, 0.5, dtype=np.float32)
     state = init_adamw_state(params)
-    hp = AdamWHyperParams(exempt_norms_biases=True)
+    hp = AdamWHyperParams()
     grads = {name: np.zeros(t.shape, dtype=np.float32) for name, t in params.items()}
     before = {name: t.data.copy() for name, t in params.items()}
     adamw_step(params, grads, state, hp)
-    # zero gradient: exempt tensors must be untouched, others decay
-    npt.assert_array_equal(params["layer0.ln1.g"].data, before["layer0.ln1.g"])
-    npt.assert_array_equal(params["final_ln.b"].data, before["final_ln.b"])
-    npt.assert_array_equal(params["head.b"].data, before["head.b"])
-    npt.assert_array_equal(params["layer0.mlp.b1"].data, before["layer0.mlp.b1"])
-    assert not np.array_equal(params["head.w"].data, before["head.w"])
-    assert not np.array_equal(params["layer0.attn.w_a"].data, before["layer0.attn.w_a"])
+    # zero gradient: every tensor, norm gains and biases included, only decays
+    for name, t in params.items():
+        expected = before[name] - hp.lr * hp.weight_decay * before[name]
+        npt.assert_array_equal(t.data, expected, err_msg=name)
+        assert not np.array_equal(t.data, before[name]), name
 
 
 def test_state_mirrors_parameter_set():

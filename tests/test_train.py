@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from cct.checkpoint import load_checkpoint
-from cct.data import batch_iter, compute_norm_stats, synthetic_dataset, write_records
+from cct.data import (
+    DataError,
+    batch_iter,
+    compute_norm_stats,
+    synthetic_dataset,
+    write_records,
+)
 from cct.metrics import read_metrics
 from cct.model import init_params, model_param_count
 import cct.train
@@ -311,8 +317,8 @@ def test_resume_rejects_config_mismatch(data_dir, tmp_path):
 def test_refused_resume_creates_and_reads_nothing(data_dir, tmp_path, monkeypatch):
     result = train(RunConfig(**TINY), data_dir, tmp_path / "out")
     reads = []
-    real_load = cct.train.load_records
-    monkeypatch.setattr(cct.train, "load_records",
+    real_load = cct.train.load_cifar100
+    monkeypatch.setattr(cct.train, "load_cifar100",
                         lambda *a, **k: reads.append(a) or real_load(*a, **k))
     out = tmp_path / "new"
     with pytest.raises(ConfigError, match="model config"):
@@ -320,6 +326,43 @@ def test_refused_resume_creates_and_reads_nothing(data_dir, tmp_path, monkeypatc
               resume_from=result["checkpoint"])
     assert not out.exists()
     assert reads == []
+
+
+@pytest.fixture
+def mixed_dir(data_dir, tmp_path):
+    """The 64-record train split beside an official-size test split."""
+    d = tmp_path / "mixed"
+    d.mkdir()
+    (d / "train.bin").write_bytes((data_dir / "train.bin").read_bytes())
+    with open(d / "test.bin", "wb") as f:  # sparse all-zero records
+        os.truncate(f.fileno(), 30_740_000)
+    return d
+
+
+def test_a_refused_data_dir_creates_nothing(mixed_dir, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="train.bin: expected 153700000"):
+        train(RunConfig(**TINY), mixed_dir, out)
+    assert not out.exists()
+
+
+def test_a_refused_data_dir_leaves_a_resumed_run_untouched(data_dir, mixed_dir, tmp_path):
+    run = RunConfig(**{**TINY, "epochs": 2, "checkpoint_every": 1})
+    out = tmp_path / "out"
+    result = train(run, data_dir, out)
+    before = open(result["metrics"], "rb").read()
+    with pytest.raises(DataError, match="train.bin: expected 153700000"):
+        train(run, mixed_dir, out, resume_from=out / "checkpoint_epoch1.bin")
+    assert open(result["metrics"], "rb").read() == before
+
+
+def test_evaluate_and_overfit_refuse_a_mixed_data_dir(data_dir, mixed_dir, tmp_path):
+    result = train(RunConfig(**TINY), data_dir, tmp_path / "out")
+    for split in ("train", "test"):
+        with pytest.raises(DataError, match="train.bin: expected 153700000"):
+            evaluate(result["checkpoint"], mixed_dir, split)
+    with pytest.raises(DataError, match="train.bin: expected 153700000"):
+        overfit(n=8, steps=1, seed=0, data_dir=mixed_dir)
 
 
 def test_resume_rejects_optimizer_mismatch(data_dir, tmp_path):
@@ -406,6 +449,11 @@ def test_overfit_reaches_target_quickly():
 def test_overfit_uses_dataset_when_present(data_dir):
     result = overfit(n=16, steps=120, seed=0, data_dir=data_dir)
     assert result["reached"]
+
+
+def test_overfit_refuses_a_data_dir_without_splits(tmp_path):
+    with pytest.raises(FileNotFoundError, match="train.bin"):
+        overfit(n=8, steps=1, seed=0, data_dir=tmp_path)
 
 
 def test_overfit_stops_on_a_nan_loss(monkeypatch):
