@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,31 +193,51 @@ def denormalize(images, norm: NormStats):
             + norm.mean.reshape(shape).astype(x.dtype)) * 255.0
 
 
-def save_norm_stats(path, norm: NormStats) -> None:
+def _split_key(records) -> tuple:
+    """(record count, crc32 of the coarse then the fine label column): what
+    a stats file records of the split it came from. The pixels are left
+    out, as hashing them would read the whole split."""
+    labels = np.concatenate([records.array["coarse_label"], records.array["fine_label"]])
+    return len(records), zlib.crc32(labels)
+
+
+def save_norm_stats(path, norm: NormStats, key=None) -> None:
+    """Write norm to path, with its split's key (see _split_key) if given."""
     with open(path, "w") as f:
+        if key is not None:
+            f.write("records " + " ".join(str(k) for k in key) + "\n")
         f.write("mean " + " ".join(repr(float(v)) for v in norm.mean) + "\n")
         f.write("std " + " ".join(repr(float(v)) for v in norm.std) + "\n")
 
 
-def load_norm_stats(path) -> NormStats:
-    vals = {}
+def _stats_fields(path) -> dict:
     with open(path) as f:
-        for line in f:
-            key, *nums = line.split()
-            vals[key] = np.array([float(v) for v in nums], dtype=np.float64)
+        rows = [line.split() for line in f]
+    return {row[0]: row[1:] for row in rows if row}
+
+
+def load_norm_stats(path) -> NormStats:
+    fields = _stats_fields(path)
+    fields.pop("records", None)
+    vals = {key: np.array([float(v) for v in nums], dtype=np.float64)
+            for key, nums in fields.items()}
     if set(vals) != {"mean", "std"} or vals["mean"].shape != (3,) or vals["std"].shape != (3,):
         raise DataError(f"{path}: malformed normalization stats")
     return NormStats(mean=vals["mean"], std=vals["std"])
 
 
 def cached_norm_stats(records, cache_path) -> NormStats:
-    """Load stats from cache_path if present, else compute and try to cache."""
-    if cache_path is not None and os.path.exists(cache_path):
+    """Load stats from cache_path if it was written for a split with the
+    same key (see _split_key), else compute them and try to cache them with
+    the key. A split with the same labels but other pixels reads the file."""
+    key = _split_key(records)
+    if (cache_path is not None and os.path.exists(cache_path)
+            and _stats_fields(cache_path).get("records") == [str(k) for k in key]):
         return load_norm_stats(cache_path)
     norm = compute_norm_stats(records)
     if cache_path is not None:
         try:
-            save_norm_stats(cache_path, norm)
+            save_norm_stats(cache_path, norm, key)
         except OSError:
             pass  # read-only data dir: stats are cheap to recompute
     return norm

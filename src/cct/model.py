@@ -20,7 +20,7 @@ from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
 __all__ = [
     "ModelConfig", "ParameterSet", "init_params", "canonical_param_names",
     "tokenize", "encoder_block", "seq_pool", "forward", "forward_tokens",
-    "model_param_count",
+    "chunk_work", "model_param_count",
 ]
 
 
@@ -245,6 +245,11 @@ def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig,
     return linear(pooled, params["head.w"], params["head.b"])
 
 
+def chunk_work(cfg: ModelConfig) -> int:
+    """Activation elements of one chunk, the work run_chunks weighs."""
+    return CHUNK * cfg.ctx_len * cfg.d_model
+
+
 def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
             training: bool = False, dropout_seed: int = 0) -> Tensor:
     """Logits for a batch, one graph per CHUNK images on the chunk pool.
@@ -256,8 +261,7 @@ def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
         return forward_tokens(tokenize(x, params, cfg), params, cfg,
                               training, dropout_seed, c)
 
-    return map_chunks(chunk_logits, images, params.tensors(),
-                      work=CHUNK * cfg.ctx_len * cfg.d_model)
+    return map_chunks(chunk_logits, images, params.tensors(), chunk_work(cfg))
 
 
 def model_param_count(cfg: ModelConfig) -> dict:

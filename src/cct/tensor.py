@@ -28,10 +28,11 @@ argmax in the smallest unsigned type. no_grad records no remake.
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
 each chunk's reverse sweep on the pool and adds the chunks' gradients in
-chunk order. Every kernel runs whole on the thread that calls it, and
-OpenBLAS is set to one thread at import so that it does not compete with the
-pool. Chunk boundaries and the order of the sum depend only on the batch, so
-the bytes do not depend on the number of cores.
+chunk order (sum_chunks). A chunk graph lives from its forward to the end of
+its own sweep, so such an op is swept once. Every kernel runs whole on the
+thread that calls it, and OpenBLAS is set to one thread at import so that it
+does not compete with the pool. Chunk boundaries and the order of the sum
+depend only on the batch, so the bytes do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -361,9 +362,11 @@ def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
 
     Returns d(loss)/d(leaf) for each of `leaves` (None where no path leads),
     possibly as views of arrays a rule returned. It writes nothing into the
-    graph, so sweeps may run at once and again on the same graph. Outputs
-    that rules rebuild are kept per sweep, on the calling thread, from their
-    first reader to their producer's node, which comes after every reader.
+    graph, so sweeps may run at once and again on the same graph; only a
+    chunks op's rule frees what it holds, and runs once (map_chunks).
+    Outputs that rules rebuild are kept per sweep, on the calling thread,
+    from their first reader to their producer's node, which comes after
+    every reader.
     """
     flow = {root.node_id: g}
     outer, remade = getattr(_local, "remade", None), {}
@@ -397,47 +400,75 @@ def backward(loss: Tensor) -> None:
             p.grad = np.array(pg, dtype=p.data.dtype) if p.grad is None else p.grad + pg
 
 
+def _rows(c: int) -> slice:
+    """Chunk c's samples."""
+    return slice(c * CHUNK, (c + 1) * CHUNK)
+
+
+def _n_chunks(n: int) -> int:
+    return max(1, -(-n // CHUNK))
+
+
+def sum_chunks(fn, n: int, work: int, k: int):
+    """fn over the CHUNK-sample slices of n samples through run_chunks, with
+    the chunks' gradients summed in chunk order.
+
+    fn(c, rows) returns (result, grads), grads being k arrays or Nones. Each
+    chunk's grads are added, as they arrive, into sums taken in chunk order
+    (a copy of d0, then += d1, += d2, ...: the bytes of d0 + d1 + ...; None
+    is skipped) and then dropped. Returns ([each chunk's result], sums).
+    """
+    sums = [None] * k
+
+    def add(r):
+        result, grads = r
+        for i, pg in enumerate(grads):
+            if pg is None:
+                continue
+            if sums[i] is None:
+                sums[i] = np.array(pg)  # pg may be a view of a rule's array
+            else:
+                sums[i] += pg
+        return result
+
+    results = run_chunks(lambda c: fn(c, _rows(c)), _n_chunks(n), work, then=add)
+    return results, sums
+
+
 def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     """fn over CHUNK-sample slices of x, concatenated, as one op on (x, *params).
 
     fn(x_chunk, c) builds chunk c's graph from x_chunk and params, which must
     be leaves; the chunks run through run_chunks (work: activation elements
     per chunk). A chunk graph keeps only its output's array and what its
-    rules bind. The rule runs each chunk's sweep the same way and adds each
-    chunk's parameter gradients, as they arrive, into sums taken in chunk
-    order (a copy of d0, then += d1, += d2, ...: the bytes of d0 + d1 + ...;
-    None is skipped). The chunk graphs are kept, so the op can be swept
-    again.
+    rules bind. The rule runs each chunk's sweep the same way and sums the
+    parameter gradients with sum_chunks. It drops each chunk graph as that
+    chunk's sweep starts, so the graph is freed by the end of the sweep and
+    the op is swept once: a second backward raises AutodiffError.
     """
     n = len(x.data)
     params = tuple(params)
     need_dx = x.requires_grad
 
     def forward(c):
-        xc = Tensor(x.data[c * CHUNK:(c + 1) * CHUNK], requires_grad=need_dx)
+        xc = Tensor(x.data[_rows(c)], requires_grad=need_dx)
         return xc, fn(xc, c)
 
-    chunks = run_chunks(forward, max(1, -(-n // CHUNK)), work)
+    chunks = run_chunks(forward, _n_chunks(n), work)
     out = np.concatenate([y.data for _, y in chunks])
+    graphs = dict(enumerate(chunks))
 
     def rule(g):
-        def sweep(c):
-            xc, y = chunks[c]
-            return gradients(y, g[c * CHUNK:(c + 1) * CHUNK], (xc, *params))
+        def sweep(c, rows):
+            try:
+                xc, y = graphs.pop(c)  # one step, so two sweeps cannot both take it
+            except KeyError:
+                raise AutodiffError("backward: a chunks op is swept once, and an "
+                                    "earlier backward freed its chunk graphs") from None
+            dx, *grads = gradients(y, g[rows], (xc, *params))
+            return dx, grads
 
-        sums = [None] * len(params)
-
-        def add(d):
-            for i, pg in enumerate(d[1:]):
-                if pg is None:
-                    continue
-                if sums[i] is None:
-                    sums[i] = np.array(pg)  # pg may be a view of a rule's array
-                else:
-                    sums[i] += pg
-            return d[0]
-
-        dxs = run_chunks(sweep, len(chunks), work, then=add)
+        dxs, sums = sum_chunks(sweep, n, work, len(params))
         return (np.concatenate(dxs) if need_dx else None, *sums)
 
     return _record("chunks", out, (x, *params), rule)
@@ -817,29 +848,47 @@ def dropout(x: Tensor, p: float, training: bool, seed) -> Tensor:
     return _record("dropout", x.data * mask, (x,), rule)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross entropy; labels are integer class ids."""
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy: logits must be 2-d, got {logits.shape}")
+def checked_labels(labels, shape) -> np.ndarray:
+    """labels as an array of class ids for (batch, classes) logits of shape."""
     labels = np.asarray(labels)
-    bsz, ncls = logits.shape
+    bsz, ncls = shape
     if labels.shape != (bsz,):
         raise ShapeError(f"cross_entropy: labels {labels.shape} do not match batch {bsz}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ConfigError(f"cross_entropy: labels must be integers, got {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= ncls):
         raise IndexError(f"cross_entropy: label out of range [0, {ncls})")
+    return labels
 
-    z = logits.data
+
+def xent_rows(z: np.ndarray, labels: np.ndarray):
+    """Softmax cross entropy of each row of logits z, max-shifted: (the
+    per-row losses, shape (rows, 1), and the softmax)."""
     zs = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(zs).sum(axis=-1, keepdims=True))
-    picked = zs[np.arange(bsz), labels][:, None]
-    out = np.asarray((lse - picked).mean(), dtype=z.dtype)
-    soft = np.exp(zs - lse)
+    picked = zs[np.arange(len(z)), labels][:, None]
+    return lse - picked, np.exp(zs - lse)
+
+
+def xent_grad(soft: np.ndarray, labels: np.ndarray, scale) -> np.ndarray:
+    """Rows of d(mean loss)/d(logits): (softmax - one-hot) * scale, where
+    scale is d(loss) over the batch size."""
+    grad = soft.copy()
+    grad[np.arange(len(soft)), labels] -= 1.0
+    return grad * scale
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross entropy; labels are integer class ids."""
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits must be 2-d, got {logits.shape}")
+    labels = checked_labels(labels, logits.shape)
+    z = logits.data
+    losses, soft = xent_rows(z, labels)
+    out = np.asarray(losses.mean(), dtype=z.dtype)
+    bsz = len(z)
 
     def rule(g):
-        grad = soft.copy()
-        grad[np.arange(bsz), labels] -= 1.0
-        return (grad * (g / bsz),)
+        return (xent_grad(soft, labels, g / bsz),)
 
     return _record("cross_entropy", out, (logits,), rule)

@@ -23,9 +23,11 @@ from .data import (
     synthetic_dataset,
 )
 from .metrics import MetricsRow, MetricsWriter, drop_rows_from, topk_accuracy
-from .model import ModelConfig, forward, init_params
+from .model import (ModelConfig, chunk_work, forward, forward_tokens,
+                    init_params, tokenize)
 from .optim import AdamWHyperParams, adamw_step, init_adamw_state
-from .tensor import ConfigError, backward, cross_entropy, no_grad
+from .tensor import (ConfigError, Tensor, checked_labels, cross_entropy,
+                     gradients, no_grad, sum_chunks, xent_grad, xent_rows)
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,35 @@ def _check_finite(loss: float, grads, epoch: int, step: int) -> None:
 
 def train_step(params, cfg: ModelConfig, batch, step: int):
     """One train step without the update: (loss, logits, {name: gradient})
-    in canonical order, with dropout keyed by `step`. The step's graph is
-    freed when this returns."""
-    logits = forward(batch.images, params, cfg, training=True, dropout_seed=step)
-    loss = cross_entropy(logits, batch.labels)
-    params.zero_grad()
-    backward(loss)
-    return loss.item(), logits.data, {name: t.grad for name, t in params.items()}
+    in canonical order, with dropout keyed by `step`.
+
+    Each chunk runs its forward, its rows of the loss gradient and its
+    reverse sweep as one task on a pool worker, so at most one chunk graph
+    per worker is alive. The bytes are those of forward -> cross_entropy ->
+    backward: the gradients add in chunk order, and the loss is the mean of
+    the per-sample losses."""
+    images = batch.images.data
+    n = len(images)
+    labels = checked_labels(batch.labels, (n, cfg.n_classes))
+    leaves = params.tensors()
+
+    def chunk(c, rows):
+        logits = forward_tokens(tokenize(Tensor(images[rows]), params, cfg),
+                                params, cfg, training=True, dropout_seed=step,
+                                chunk=c)
+        z, y = logits.data, labels[rows]
+        losses, soft = xent_rows(z, y)
+        # backward seeds the mean loss with ones_like(loss), scaled by 1/n
+        g = xent_grad(soft, y, np.ones((), z.dtype) / n)
+        return (z, losses), gradients(logits, g, leaves)
+
+    outs, sums = sum_chunks(chunk, n, chunk_work(cfg), len(leaves))
+    logits = np.concatenate([z for z, _ in outs])
+    loss = np.asarray(np.concatenate([losses for _, losses in outs]).mean(),
+                      dtype=logits.dtype)
+    for t, g in zip(leaves, sums):
+        t.grad = g
+    return loss.item(), logits, {name: t.grad for name, t in params.items()}
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,

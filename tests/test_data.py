@@ -306,7 +306,7 @@ def test_normalize_uint8_gives_float32():
     assert out.dtype == np.float32
 
 
-def test_norm_stats_cache_roundtrip(tmp_path):
+def test_norm_stats_cache_roundtrip(tmp_path, monkeypatch):
     recs = synthetic_dataset(20, 10, seed=0)
     path = tmp_path / "norm_stats.txt"
     stats = cached_norm_stats(recs, path)
@@ -314,9 +314,44 @@ def test_norm_stats_cache_roundtrip(tmp_path):
     loaded = load_norm_stats(path)
     assert np.array_equal(loaded.mean, stats.mean)
     assert np.array_equal(loaded.std, stats.std)
-    # second call must read the cache, not recompute from different records
-    other = cached_norm_stats(recs[:1], path)
-    assert np.array_equal(other.mean, stats.mean)
+    # second call for the same split must read the cache, not recompute
+    monkeypatch.setattr(cct.data, "compute_norm_stats", None)
+    again = cached_norm_stats(recs, path)
+    assert np.array_equal(again.mean, stats.mean)
+    assert np.array_equal(again.std, stats.std)
+
+
+def _stats_bits(stats):
+    return stats.mean.tobytes() + stats.std.tobytes()
+
+
+@pytest.mark.parametrize("n, classes", [(128, 100), (64, 7)])
+def test_norm_stats_cache_of_another_split_is_recomputed(tmp_path, n, classes):
+    """A data directory whose 64-record train split is replaced, by one of
+    another record count or by one of the same count with other labels,
+    reads the new split's stats, not the cached ones."""
+    write_records(tmp_path / "train.bin", synthetic_dataset(64, 10, seed=0))
+    write_records(tmp_path / "test.bin", synthetic_dataset(32, 10, seed=1))
+    path = tmp_path / "norm_stats.txt"
+    first = cached_norm_stats(load_cifar100(tmp_path)["train"], path)
+    assert _stats_bits(first) == _stats_bits(compute_norm_stats(synthetic_dataset(64, 10, seed=0)))
+    write_records(tmp_path / "train.bin", synthetic_dataset(n, classes, seed=5))
+    train = load_cifar100(tmp_path)["train"]
+    assert _stats_bits(cached_norm_stats(train, path)) == _stats_bits(compute_norm_stats(train))
+    assert _stats_bits(cached_norm_stats(train, path)) != _stats_bits(first)
+
+
+def test_norm_stats_file_without_a_split_key_is_recomputed_and_rewritten(tmp_path, monkeypatch):
+    recs = synthetic_dataset(20, 10, seed=0)
+    path = tmp_path / "norm_stats.txt"
+    stale = compute_norm_stats(synthetic_dataset(20, 10, seed=9))
+    path.write_text("mean " + " ".join(repr(float(v)) for v in stale.mean) + "\n"
+                    "std " + " ".join(repr(float(v)) for v in stale.std) + "\n")
+    got = cached_norm_stats(recs, path)
+    assert _stats_bits(got) == _stats_bits(compute_norm_stats(recs))
+    assert path.read_text().startswith("records 20 ")
+    monkeypatch.setattr(cct.data, "compute_norm_stats", None)
+    assert _stats_bits(cached_norm_stats(recs, path)) == _stats_bits(got)
 
 
 def test_norm_stats_file_rejects_garbage(tmp_path):

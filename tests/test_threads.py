@@ -1,7 +1,8 @@
 """The chunk pool: its size, the OpenBLAS pin, that the bytes a train step
 gives do not depend on how many cores run it, that a chunk's graph keeps
-only the arrays its backward reads and cannot rebuild, and that backward
-keeps one running sum of the chunks' gradients."""
+only the arrays its backward reads and cannot rebuild and lives only until
+its own sweep ends, and that backward keeps one running sum of the chunks'
+gradients."""
 import ctypes
 import gc
 import hashlib
@@ -24,6 +25,7 @@ from cct import model, tensor
 from cct.data import batch_iter, compute_norm_stats, synthetic_dataset
 from cct.gradcheck import grad_check
 from cct.model import ModelConfig, forward, forward_tokens, init_params, tokenize
+from cct.train import train_step
 
 SRC = Path(cct.__file__).resolve().parent
 
@@ -115,18 +117,21 @@ def test_backward_through_forward_accumulates_across_calls(monkeypatch):
     cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(6)
-    loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
-                                batch.labels)
-    tensor.backward(loss)
+
+    def forward_and_backward():
+        tensor.backward(tensor.cross_entropy(
+            forward(batch.images, params, cfg, training=True), batch.labels))
+
+    forward_and_backward()
     once = {n: t.grad.copy() for n, t in params.items()}
-    tensor.backward(loss)
+    forward_and_backward()
     for n, t in params.items():
         assert t.grad.tobytes() == (once[n] + once[n]).tobytes(), n
 
 
-def test_a_graph_keeps_the_weights_it_was_built_with(monkeypatch):
-    """An optimizer step replaces each parameter's array; a second sweep of
-    the old graph still gives the gradients of the weights it ran with."""
+def test_a_second_backward_of_one_loss_raises(monkeypatch):
+    """The first sweep frees the chunk graphs; the second one says so and
+    leaves the gradients as the first one set them."""
     _on_pool(monkeypatch)
     cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
     params = init_params(cfg, 1)
@@ -135,12 +140,32 @@ def test_a_graph_keeps_the_weights_it_was_built_with(monkeypatch):
                                 batch.labels)
     tensor.backward(loss)
     once = {n: t.grad.copy() for n, t in params.items()}
-    for t in params.tensors():
-        t.data = t.data * 2
-        t.grad = None
-    tensor.backward(loss)
+    with pytest.raises(tensor.AutodiffError, match="swept once"):
+        tensor.backward(loss)
     for n, t in params.items():
         assert t.grad.tobytes() == once[n].tobytes(), n
+
+
+def test_a_graph_keeps_the_weights_it_was_built_with(monkeypatch):
+    """An optimizer step replaces each parameter's array; a sweep of a graph
+    built before it still gives the gradients of the weights it ran with."""
+    _on_pool(monkeypatch)
+    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
+    batch = _batch(6)
+
+    def loss_of(params):
+        return tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
+                                    batch.labels)
+
+    control = init_params(cfg, 1)
+    tensor.backward(loss_of(control))
+    params = init_params(cfg, 1)
+    loss = loss_of(params)
+    for t in params.tensors():
+        t.data = t.data * 2
+    tensor.backward(loss)
+    for n, t in params.items():
+        assert t.grad.tobytes() == control[n].grad.tobytes(), n
 
 
 def test_chunk_graphs_drop_every_interior_output(monkeypatch):
@@ -224,6 +249,111 @@ def test_backward_keeps_one_running_sum_of_the_chunk_gradients(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * one_set, peak / one_set
+
+
+@pytest.mark.parametrize("kind", ["super", "sdpa"])
+@pytest.mark.parametrize("where", ["inline", "pool"])
+def test_train_step_gives_the_bytes_of_forward_cross_entropy_backward(
+        monkeypatch, kind, where):
+    """Batch 10 (chunks of 4, 4 and 2) with dropout: the fused step's loss,
+    logits and every gradient are those of the public sequence."""
+    if where == "pool":
+        _on_pool(monkeypatch)
+    else:
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+    cfg = ModelConfig(attn_kind=kind, d_model=64, n_layers=2, n_heads=2,
+                      dropout_p=0.1, seed=3)
+    batch = _batch(10)
+    params = init_params(cfg, 3)
+    logits = forward(batch.images, params, cfg, training=True, dropout_seed=7)
+    loss = tensor.cross_entropy(logits, batch.labels)
+    tensor.backward(loss)
+    fused = init_params(cfg, 3)
+    got_loss, got_logits, grads = train_step(fused, cfg, batch, 7)
+    assert np.float32(got_loss).tobytes() == loss.data.tobytes()
+    assert got_logits.tobytes() == logits.data.tobytes()
+    for name, t in params.items():
+        assert grads[name].dtype == t.grad.dtype, name
+        assert grads[name].tobytes() == t.grad.tobytes(), name
+
+
+def _desk_step_peak(n: int) -> int:
+    cfg = ModelConfig()
+    params = init_params(cfg, 0)
+    batch = _batch(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(params, cfg, batch, 0)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_desk_train_step_peak_does_not_grow_with_the_batch():
+    """Each chunk is swept as soon as its forward ends, so at most one chunk
+    graph per worker is alive: with two workers, batch 64 (16 chunks) peaks
+    near batch 8 (2 chunks), where holding every chunk graph until the end
+    takes about 6 times as much. A larger pool compares batches that keep
+    every worker busy."""
+    small = tensor.CHUNK * max(2, tensor._WORKERS)
+    peaks = _desk_step_peak(small), _desk_step_peak(8 * small)
+    assert peaks[1] <= 1.5 * peaks[0], [p / 2**20 for p in peaks]
+
+
+def test_backward_frees_every_chunk_graph_while_the_loss_is_held(monkeypatch):
+    """After backward through forward, no array that an op inside a chunk
+    graph output is alive, though the caller still holds the loss."""
+    _on_pool(monkeypatch)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    params = init_params(cfg, 1)
+    batch = _batch(10)
+    leaf_arrays = {id(_base(t.data)) for t in (batch.images, *params.tensors())}
+    refs = []
+    real_record = tensor._record
+
+    def record(op, out_data, *args, **kwargs):
+        if op not in ("chunks", "cross_entropy") and id(_base(out_data)) not in leaf_arrays:
+            refs.append((op, weakref.ref(_base(out_data))))
+        return real_record(op, out_data, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_record", record)
+    loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True,
+                                        dropout_seed=2), batch.labels)
+    gc.collect()
+    held = {op for op, ref in refs if ref() is not None}
+    assert {"softmax_rows", "linear"} <= held  # read by rules, or the logits
+    tensor.backward(loss)
+    gc.collect()
+    assert [op for op, ref in refs if ref() is not None] == []
+    assert loss.requires_grad and all(np.isfinite(t.grad).all() for t in params.tensors())
+
+
+def test_a_sweep_frees_each_rebuilt_output_at_its_producer(monkeypatch):
+    """A sweep rebuilds a layernorm or GELU output for its first reader and
+    frees it at the producer's node, so no earlier rebuild is alive when the
+    next one runs."""
+    rebuilt, alive_at_each_rebuild = [], []
+    real_record = tensor._record
+
+    def record(op, out_data, parents, rule, remake=None):
+        if remake is not None:
+            def tracked(remake=remake):
+                alive_at_each_rebuild.append(sum(r() is not None for r in rebuilt))
+                out = remake()
+                rebuilt.append(weakref.ref(out))
+                return out
+            remake = tracked
+        return real_record(op, out_data, parents, rule, remake)
+
+    monkeypatch.setattr(tensor, "_record", record)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    params = init_params(cfg, 1)
+    batch = _batch(tensor.CHUNK)
+    tensor.backward(tensor.cross_entropy(
+        forward(batch.images, params, cfg, training=True, dropout_seed=2), batch.labels))
+    # two layernorms and a GELU per layer, and the final layernorm
+    assert alive_at_each_rebuild == [0] * (3 * cfg.n_layers + 1)
 
 
 def test_run_chunks_hands_each_result_on_in_chunk_order(monkeypatch):

@@ -1,5 +1,6 @@
 """Training driver, config files, resume, evaluation, overfit probe."""
 import dataclasses
+import importlib.util
 import os
 import re
 import weakref
@@ -124,6 +125,18 @@ def test_readme_states_the_default_parameter_count():
             assert model_param_count(run.model_config())["total"] == stated, kind
 
 
+def test_full_step_script_runs_one_step():
+    """scripts/full_step.py's step, at the TINY config."""
+    spec = importlib.util.spec_from_file_location(
+        "full_step", ROOT / "scripts" / "full_step.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    got = script.full_step(RunConfig(**TINY))
+    assert set(got) == {"loss", "s_per_step", "img_per_s", "max_rss_mb"}
+    assert all(np.isfinite(v) and v > 0 for v in got.values())
+    assert got["img_per_s"] == pytest.approx(TINY["batch_size"] / got["s_per_step"])
+
+
 def test_shipped_full_config_is_the_paper_run():
     run = load_run_config(ROOT / "scripts" / "full.cfg")
     assert (run.epochs, run.batch_size) == (75, 1024)
@@ -225,34 +238,34 @@ def test_train_step_returns_plain_values_in_canonical_order():
 
 def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None):
     """A two-epoch TINY run (two steps per epoch, a checkpoint after each
-    epoch) whose step 2, the first of epoch 1, gets its logits passed to
-    spoil_logits after forward and its params to spoil_grads after backward.
-    Returns the NonFiniteError message, and the run's params and AdamW
-    state as they were when it was raised."""
+    epoch) whose step 2, the first of epoch 1, gets its first chunk's logits
+    passed to spoil_logits after that chunk's forward and its params to
+    spoil_grads after train_step. Returns the NonFiniteError message, and
+    the run's params and AdamW state as they were when it was raised."""
     seen = {}
-    real_forward, real_backward = cct.train.forward, cct.train.backward
+    real_forward_tokens, real_step = cct.train.forward_tokens, cct.train.train_step
     real_adamw = cct.train.adamw_step
 
-    def forward(images, params, cfg, training=False, dropout_seed=0):
-        logits = real_forward(images, params, cfg, training=training,
-                              dropout_seed=dropout_seed)
-        if training:
-            seen.update(step=dropout_seed, params=params)
-            if dropout_seed == 2 and spoil_logits:
-                spoil_logits(logits)
+    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
+        logits = real_forward_tokens(tokens, params, cfg, training=training,
+                                     dropout_seed=dropout_seed, chunk=chunk)
+        if dropout_seed == 2 and chunk == 0 and spoil_logits:
+            spoil_logits(logits)
         return logits
 
-    def backward(loss):
-        real_backward(loss)
-        if seen["step"] == 2 and spoil_grads:
-            spoil_grads(seen["params"])
+    def train_step(params, cfg, batch, step):
+        seen["params"] = params
+        result = real_step(params, cfg, batch, step)
+        if step == 2 and spoil_grads:
+            spoil_grads(params)
+        return result
 
     def adamw_step(params, grads, state, hp):
         seen["state"] = state
         real_adamw(params, grads, state, hp)
 
-    monkeypatch.setattr(cct.train, "forward", forward)
-    monkeypatch.setattr(cct.train, "backward", backward)
+    monkeypatch.setattr(cct.train, "forward_tokens", forward_tokens)
+    monkeypatch.setattr(cct.train, "train_step", train_step)
     monkeypatch.setattr(cct.train, "adamw_step", adamw_step)
     run = RunConfig(**{**TINY, "epochs": 2, "checkpoint_every": 1})
     with pytest.raises(cct.train.NonFiniteError) as err:
@@ -457,15 +470,16 @@ def test_overfit_refuses_a_data_dir_without_splits(tmp_path):
 
 
 def test_overfit_stops_on_a_nan_loss(monkeypatch):
-    real = cct.train.forward
+    real = cct.train.forward_tokens
 
-    def forward(images, params, cfg, training=False, dropout_seed=0):
-        logits = real(images, params, cfg, training=training, dropout_seed=dropout_seed)
-        if dropout_seed == 1:
+    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
+        logits = real(tokens, params, cfg, training=training,
+                      dropout_seed=dropout_seed, chunk=chunk)
+        if dropout_seed == 1 and chunk == 0:
             logits.data[0, 2] = np.nan
         return logits
 
-    monkeypatch.setattr(cct.train, "forward", forward)
+    monkeypatch.setattr(cct.train, "forward_tokens", forward_tokens)
     with pytest.raises(cct.train.NonFiniteError, match="^epoch 0, step 1: the loss is nan$"):
         overfit(n=8, steps=3, seed=0, target=101.0)
 
@@ -476,29 +490,38 @@ def test_overfit_stops_on_a_nan_loss(monkeypatch):
 
 @pytest.fixture
 def graphs_alive_at_forward(monkeypatch):
-    """For each forward call, whether an earlier train step's logits, and so
-    its whole graph, is still alive."""
-    real, earlier, alive = cct.train.forward, [], []
+    """For each chunk forward of a train step, whether an earlier step's
+    logits are still alive: a chunk's, which its graph's root held, or the
+    batch's, which train_step returned."""
+    real_forward_tokens, real_step = cct.train.forward_tokens, cct.train.train_step
+    earlier, alive = [], []
 
-    def spy(*args, **kwargs):
-        alive.append(any(ref() is not None for ref in earlier))
-        logits = real(*args, **kwargs)
-        if kwargs.get("training"):
-            earlier.append(weakref.ref(logits.data))
+    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
+        alive.append(any(ref() is not None for step, ref in earlier
+                         if step < dropout_seed))
+        logits = real_forward_tokens(tokens, params, cfg, training=training,
+                                     dropout_seed=dropout_seed, chunk=chunk)
+        earlier.append((dropout_seed, weakref.ref(logits.data)))
         return logits
 
-    monkeypatch.setattr(cct.train, "forward", spy)
+    def train_step(params, cfg, batch, step):
+        loss, logits, grads = real_step(params, cfg, batch, step)
+        earlier.append((step, weakref.ref(logits)))
+        return loss, logits, grads
+
+    monkeypatch.setattr(cct.train, "forward_tokens", forward_tokens)
+    monkeypatch.setattr(cct.train, "train_step", train_step)
     return alive
 
 
 def test_train_drops_each_step_graph_before_the_next_forward(
         data_dir, tmp_path, graphs_alive_at_forward):
     train(RunConfig(**{**TINY, "batch_size": 16}), data_dir, tmp_path / "run")
-    assert len(graphs_alive_at_forward) == 4 + 1  # four train steps, one eval batch
+    assert len(graphs_alive_at_forward) == 4 * 4  # four train steps of four chunks
     assert not any(graphs_alive_at_forward)
 
 
 def test_overfit_drops_each_step_graph_before_the_next_forward(graphs_alive_at_forward):
     overfit(n=8, steps=3, seed=0, target=101.0)
-    assert len(graphs_alive_at_forward) == 3
+    assert len(graphs_alive_at_forward) == 3 * 2
     assert not any(graphs_alive_at_forward)
