@@ -201,11 +201,10 @@ def _split_key(records) -> tuple:
     return len(records), zlib.crc32(labels)
 
 
-def save_norm_stats(path, norm: NormStats, key=None) -> None:
-    """Write norm to path, with its split's key (see _split_key) if given."""
+def save_norm_stats(path, norm: NormStats, key) -> None:
+    """Write norm to path, with its split's key (see _split_key)."""
     with open(path, "w") as f:
-        if key is not None:
-            f.write("records " + " ".join(str(k) for k in key) + "\n")
+        f.write("records " + " ".join(str(k) for k in key) + "\n")
         f.write("mean " + " ".join(repr(float(v)) for v in norm.mean) + "\n")
         f.write("std " + " ".join(repr(float(v)) for v in norm.std) + "\n")
 

@@ -490,11 +490,17 @@ def test_overfit_stops_on_a_nan_loss(monkeypatch):
 
 @pytest.fixture
 def graphs_alive_at_forward(monkeypatch):
-    """For each chunk forward of a train step, whether an earlier step's
-    logits are still alive: a chunk's, which its graph's root held, or the
-    batch's, which train_step returned."""
-    real_forward_tokens, real_step = cct.train.forward_tokens, cct.train.train_step
+    """For each chunk forward of a train step and each eval forward, whether
+    an earlier step's logits are still alive: a chunk's, which its graph's
+    root held, or the batch's, which train_step returned."""
+    real_forward, real_forward_tokens = cct.train.forward, cct.train.forward_tokens
+    real_step = cct.train.train_step
     earlier, alive = [], []
+
+    def forward(images, params, cfg, training=False, dropout_seed=0):
+        alive.append(any(ref() is not None for _, ref in earlier))
+        return real_forward(images, params, cfg, training=training,
+                            dropout_seed=dropout_seed)
 
     def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
         alive.append(any(ref() is not None for step, ref in earlier
@@ -509,6 +515,7 @@ def graphs_alive_at_forward(monkeypatch):
         earlier.append((step, weakref.ref(logits)))
         return loss, logits, grads
 
+    monkeypatch.setattr(cct.train, "forward", forward)
     monkeypatch.setattr(cct.train, "forward_tokens", forward_tokens)
     monkeypatch.setattr(cct.train, "train_step", train_step)
     return alive
@@ -517,7 +524,7 @@ def graphs_alive_at_forward(monkeypatch):
 def test_train_drops_each_step_graph_before_the_next_forward(
         data_dir, tmp_path, graphs_alive_at_forward):
     train(RunConfig(**{**TINY, "batch_size": 16}), data_dir, tmp_path / "run")
-    assert len(graphs_alive_at_forward) == 4 * 4  # four train steps of four chunks
+    assert len(graphs_alive_at_forward) == 4 * 4 + 1  # four steps of four chunks, one eval batch
     assert not any(graphs_alive_at_forward)
 
 
