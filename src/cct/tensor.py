@@ -109,8 +109,28 @@ def _one_malloc_arena() -> bool:
         return False
 
 
+def _keep_freed_heap() -> bool:
+    """Have glibc's malloc keep the memory that a step frees for the next.
+
+    backward frees each chunk graph as its sweep ends. By default glibc then
+    hands the free top of the heap back to the kernel and serves large
+    arrays from mmap, so the next step page-faults the same memory in again,
+    by an amount that differs from step to step and run to run. Freed memory
+    now stays in the heap (M_TRIM_THRESHOLD 2**31 - 1), and arrays up to
+    32 MiB, glibc's largest threshold, come from it (M_MMAP_THRESHOLD).
+    Returns whether glibc took both settings.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        return (libc.mallopt(-1, 2**31 - 1) == 1      # M_TRIM_THRESHOLD
+                and libc.mallopt(-3, 32 << 20) == 1)  # M_MMAP_THRESHOLD
+    except (OSError, AttributeError):  # not glibc
+        return False
+
+
 _OPENBLAS = _pin_openblas()
 _ONE_ARENA = _one_malloc_arena()
+_KEEP_HEAP = _keep_freed_heap()
 # An unpinned BLAS keeps its own threads, and the pool then stays at one.
 _WORKERS = len(os.sched_getaffinity(0)) if _OPENBLAS else 1
 _local = threading.local()

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import threading
@@ -509,6 +510,22 @@ def test_pool_size_follows_affinity_once_openblas_is_pinned():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_glibc_malloc_serves_every_thread_from_one_arena():
     assert tensor._ONE_ARENA
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_freed_heap_is_reused_without_page_faults():
+    # 80 MiB freed at once: glibc's default would trim it or unmap it, and
+    # the next round would fault in all of its 20480 pages again
+    assert tensor._KEEP_HEAP
+
+    def round_faults():
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 20, dtype=np.uint8) for _ in range(80)]
+        del arrays
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+    round_faults()
+    assert round_faults() < 80 * 256 // 10
 
 
 def test_a_failing_chunk_raises_after_every_chunk_has_finished(monkeypatch):
