@@ -8,7 +8,11 @@ of the sha256 of its metrics.csv lines with the wall_time_s column dropped,
 joined by newlines. A change that keeps the trajectory bit-identical keeps
 these hashes.
 
-Usage: python3 scripts/desk_hashes.py [KIND ...]   (default: super sdpa)
+`ingest` is the same for the data path alone: the sha256 of one augmented
+`batch_iter` epoch's image and label bytes over 2,048 synthetic records at
+batch 1000 (seed 3, epoch 0), so that the last batch is a short one.
+
+Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest)
 """
 import hashlib
 import os
@@ -17,7 +21,8 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from cct.data import TEST_FILE, TRAIN_FILE, synthetic_dataset, write_records  # noqa: E402
+from cct.data import (TEST_FILE, TRAIN_FILE, batch_iter, compute_norm_stats,  # noqa: E402
+                      synthetic_dataset, write_records)
 from cct.train import RunConfig, train  # noqa: E402
 
 
@@ -36,11 +41,21 @@ def desk_hash(attn_kind: str, work: str) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def main(kinds) -> None:
+def ingest_hash() -> str:
+    records = synthetic_dataset(2048, 100, seed=0)
+    h = hashlib.sha256()
+    for batch in batch_iter(records, 1000, 3, compute_norm_stats(records), True):
+        h.update(batch.images.data.tobytes())
+        h.update(batch.labels.tobytes())
+    return h.hexdigest()[:16]
+
+
+def main(names) -> None:
     with tempfile.TemporaryDirectory() as work:
-        for kind in kinds:
-            print(kind, desk_hash(kind, work), flush=True)
+        for name in names:
+            print(name, ingest_hash() if name == "ingest" else desk_hash(name, work),
+                  flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ["super", "sdpa"])
+    main(sys.argv[1:] or ["super", "sdpa", "ingest"])

@@ -177,13 +177,15 @@ def compute_norm_stats(records) -> NormStats:
 
 def normalize(images, norm: NormStats):
     """(x/255 - mean) / std over (..., 3, 32, 32); uint8 in, float32 out
-    (float inputs keep their dtype)."""
+    (float inputs keep their dtype). Works in place on one copy of images."""
     x = np.asarray(images)
-    dtype = np.float32 if x.dtype == np.uint8 else x.dtype
+    dtype = np.float32 if x.dtype == np.uint8 else np.result_type(x.dtype, 255.0)
     x = x.astype(dtype)
     shape = (3, 1, 1)
-    return (x / 255.0 - norm.mean.reshape(shape).astype(dtype)) \
-        / norm.std.reshape(shape).astype(dtype)
+    x /= 255.0
+    x -= norm.mean.reshape(shape).astype(dtype)
+    x /= norm.std.reshape(shape).astype(dtype)
+    return x
 
 
 def denormalize(images, norm: NormStats):
@@ -246,27 +248,32 @@ def cached_norm_stats(records, cache_path) -> NormStats:
 # augmentation
 # ---------------------------------------------------------------------------
 
-def hflip(image: np.ndarray) -> np.ndarray:
-    return image[:, :, ::-1]
+def crop_flip(images: np.ndarray, offsets, flip) -> np.ndarray:
+    """Random crop from reflect-pad 4 plus horizontal flip, for a batch.
+
+    images (N, 3, 32, 32); offsets (N, 2) gives each image's window (oy, ox)
+    in [0, 8] of its padded image, (4, 4) being the identity; flip (N,) bool
+    mirrors the window left to right. Returns a new array: one pad, one
+    gather of every window and one flip for the whole batch.
+    """
+    offsets, flip = np.asarray(offsets), np.asarray(flip, dtype=bool)
+    padded = np.pad(images, ((0, 0), (0, 0), (4, 4), (4, 4)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (32, 32), axis=(2, 3))
+    out = windows[np.arange(len(images)), :, offsets[:, 0], offsets[:, 1]]
+    out[flip] = out[flip, :, :, ::-1]
+    return out
 
 
-def reflect_crop(image: np.ndarray, oy: int, ox: int) -> np.ndarray:
-    """Reflect-pad 4 then take the 32x32 window at (oy, ox); (4,4) is the
-    identity crop."""
-    padded = np.pad(image, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-    return padded[:, oy:oy + 32, ox:ox + 32]
-
-
-def augment(image: np.ndarray, seed, enabled: bool) -> np.ndarray:
-    """Random crop from reflect-pad 4 plus 50% horizontal flip."""
-    if not enabled:
-        return image
-    rng = np.random.default_rng(seed)
-    oy, ox = rng.integers(0, 9, size=2)
-    out = reflect_crop(image, int(oy), int(ox))
-    if rng.random() < 0.5:
-        out = hflip(out)
-    return np.ascontiguousarray(out)
+def _augment_draws(seed: int, epoch: int, idxs):
+    """crop_flip's offsets and flips for records idxs, each record's drawn
+    from its own stream("augment", seed, epoch, index): oy, ox, then flip."""
+    offsets = np.empty((len(idxs), 2), dtype=np.int64)
+    flip = np.empty(len(idxs), dtype=bool)
+    for row, i in enumerate(idxs):
+        rng = stream("augment", seed, epoch, int(i))
+        offsets[row] = rng.integers(0, 9, size=2)
+        flip[row] = rng.random() < 0.5
+    return offsets, flip
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,9 @@ def augment(image: np.ndarray, seed, enabled: bool) -> np.ndarray:
 def batch_iter(records, batch_size: int, shuffle_seed: int, norm: NormStats,
                augment_enabled: bool, epoch: int = 0):
     """Deterministic epoch stream; order is a pure function of
-    (shuffle_seed, epoch), augmentation of (shuffle_seed, epoch, index)."""
+    (shuffle_seed, epoch), augmentation of (shuffle_seed, epoch, index):
+    each record's crop and flip are drawn on their own and applied to the
+    whole batch at once (crop_flip)."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = len(records)
@@ -284,10 +293,8 @@ def batch_iter(records, batch_size: int, shuffle_seed: int, norm: NormStats,
     for start in range(0, n, batch_size):
         idxs = perm[start:start + batch_size]
         imgs = records.array["pixels"][idxs].reshape(-1, *IMG_SHAPE)
-        if augment_enabled:  # imgs is a fresh copy: augment it in place
-            for row, i in enumerate(idxs):
-                seed = stream("augment", shuffle_seed, epoch, int(i))
-                imgs[row] = augment(imgs[row], seed, enabled=True)
+        if augment_enabled:
+            imgs = crop_flip(imgs, *_augment_draws(shuffle_seed, epoch, idxs))
         labels = records.array["fine_label"][idxs].astype(np.int64)
         yield Batch(images=Tensor(normalize(imgs, norm)), labels=labels)
 

@@ -152,16 +152,23 @@ def run_chunks(fn, n: int, work: int, then=None) -> list:
     order, as soon as fn's result and every earlier one are ready; no result
     is kept after then returns. The calls run inline when there is one chunk
     or one worker, when a chunk holds less than _GRAIN work, or on a pool
-    worker, so that the pool never waits on itself. Every call ends before
-    the first failure is raised.
+    worker, so that the pool never waits on itself. When a call or then
+    fails (KeyboardInterrupt and SystemExit too), every started call ends
+    before the failure is raised; calls not yet started are cancelled.
     """
     then = then or (lambda r: r)
     if n < 2 or _WORKERS < 2 or work < _GRAIN or getattr(_local, "worker", False):
         return [then(fn(i)) for i in range(n)]
     pending = deque(_pool.submit(fn, i) for i in range(n))
+    out = []
     try:
-        return [then(pending.popleft().result()) for _ in range(n)]
+        while pending:  # a call stays pending until then has taken its result
+            out.append(then(pending[0].result()))
+            pending.popleft()
+        return out
     finally:
+        for f in pending:
+            f.cancel()
         wait(pending)
 
 

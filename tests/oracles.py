@@ -282,3 +282,49 @@ def ref_conv2d(x, w, b, stride, pad):
         return np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wdt]), dw, db
 
     return out, rule
+
+
+# ---------------------------------------------------------------------------
+# Data-path references: one image at a time, in the order and arithmetic of
+# the per-record path that cct.data.batch_iter must reproduce byte for byte.
+# ---------------------------------------------------------------------------
+
+def ref_reflect_pad(image, pad):
+    """(C, H, W) image reflected by pad on each spatial side, the edge
+    itself not repeated (numpy's "reflect"), by explicit index mapping."""
+    def source(i, size):
+        if i < 0:
+            return -i
+        if i >= size:
+            return 2 * (size - 1) - i
+        return i
+
+    _, h, w = image.shape
+    rows = [source(i, h) for i in range(-pad, h + pad)]
+    cols = [source(j, w) for j in range(-pad, w + pad)]
+    return image[:, rows][:, :, cols]
+
+
+def ref_window(image, oy, ox, flip):
+    """The 32x32 window at (oy, ox) of image's reflect pad 4, mirrored left
+    to right if flip; (4, 4) unflipped is the image."""
+    out = ref_reflect_pad(image, 4)[:, oy:oy + 32, ox:ox + 32]
+    return np.ascontiguousarray(out[:, :, ::-1] if flip else out)
+
+
+def ref_augment(image, rng):
+    """One record's random crop and flip: oy, ox = rng.integers(0, 9, size=2),
+    then flip if rng.random() < 0.5. Returns the window and (oy, ox, flip)."""
+    oy, ox = (int(v) for v in rng.integers(0, 9, size=2))
+    flip = bool(rng.random() < 0.5)
+    return ref_window(image, oy, ox, flip), (oy, ox, flip)
+
+
+def ref_normalize(images, norm):
+    """(x / 255 - mean) / std as one expression; uint8 in, float32 out."""
+    x = np.asarray(images)
+    dtype = np.float32 if x.dtype == np.uint8 else x.dtype
+    x = x.astype(dtype)
+    shape = (3, 1, 1)
+    return (x / 255.0 - norm.mean.reshape(shape).astype(dtype)) \
+        / norm.std.reshape(shape).astype(dtype)

@@ -18,23 +18,23 @@ from cct.data import (
     RECORD,
     RECORD_BYTES,
     DataError,
+    NormStats,
     Records,
-    augment,
     batch_iter,
     cached_norm_stats,
     compute_norm_stats,
+    crop_flip,
     denormalize,
-    hflip,
     load_cifar100,
     load_norm_stats,
     load_records,
     normalize,
-    reflect_crop,
     synthetic_dataset,
     write_records,
 )
 from cct.seeding import stream
 from cct.tensor import ConfigError
+from oracles import ref_augment, ref_normalize, ref_window
 
 
 def _filled(*fills, fine=0):
@@ -306,6 +306,27 @@ def test_normalize_uint8_gives_float32():
     assert out.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype, out_dtype", [(np.uint8, np.float32),
+                                              (np.float32, np.float32),
+                                              (np.float64, np.float64)])
+def test_normalize_in_place_keeps_the_bytes_and_its_argument(dtype, out_dtype):
+    """normalize works in place on its own copy: the argument is unchanged
+    and the bytes are those of (x / 255 - mean) / std in one expression."""
+    rng = np.random.default_rng(8)
+    recs = Records([(0, i, rng.integers(0, 256, 3072, dtype=np.uint8)) for i in range(6)])
+    stats = compute_norm_stats(recs)
+    x = recs.array["pixels"].reshape(-1, *IMG_SHAPE).astype(dtype)
+    if dtype != np.uint8:
+        x += rng.random(x.shape).astype(dtype)  # values between the integers
+    before = x.copy()
+    out = normalize(x, stats)
+    assert np.array_equal(x, before) and x.dtype == dtype
+    assert out.dtype == out_dtype and out.flags.c_contiguous
+    want = ref_normalize(before, stats)
+    assert want.dtype == out_dtype
+    assert out.tobytes() == want.tobytes()
+
+
 def test_norm_stats_cache_roundtrip(tmp_path, monkeypatch):
     recs = synthetic_dataset(20, 10, seed=0)
     path = tmp_path / "norm_stats.txt"
@@ -365,48 +386,67 @@ def test_norm_stats_file_rejects_garbage(tmp_path):
 # augmentation
 # ---------------------------------------------------------------------------
 
+def _image(seed):
+    return np.random.default_rng(seed).integers(0, 256, (1, 3, 32, 32), dtype=np.uint8)
+
+
+_UNIT = NormStats(mean=np.zeros(3), std=np.ones(3))
+
+
+def _one_record_batch(img, seed, augment_enabled, epoch=0):
+    """batch_iter's images for a one-record split holding img: the batch of
+    one whose augmentation is keyed by (seed, epoch, index 0)."""
+    recs = Records([(0, 0, img.reshape(-1))])
+    return next(batch_iter(recs, 1, seed, _UNIT, augment_enabled, epoch)).images.data
+
+
 def test_identity_crop_recovers_image():
-    img = np.random.default_rng(2).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-    assert np.array_equal(reflect_crop(img, 4, 4), img)
+    img = _image(2)
+    out = crop_flip(img, [(4, 4)], [False])
+    assert out.dtype == np.uint8 and np.array_equal(out, img)
 
 
 def test_hflip_is_involution_and_moves_columns():
-    img = np.zeros((3, 32, 32), dtype=np.uint8)
-    img[:, :, 0] = 9
-    flipped = hflip(img)
-    assert flipped[0, 0, 31] == 9 and flipped[0, 0, 0] == 0
-    assert np.array_equal(hflip(flipped), img)
+    img = np.zeros((1, 3, 32, 32), dtype=np.uint8)
+    img[:, :, :, 0] = 9
+    flipped = crop_flip(img, [(4, 4)], [True])
+    assert flipped[0, 0, 0, 31] == 9 and flipped[0, 0, 0, 0] == 0
+    assert np.array_equal(crop_flip(flipped, [(4, 4)], [True]), img)
 
 
 def test_augment_disabled_is_identity():
-    img = np.random.default_rng(3).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-    assert augment(img, 7, enabled=False) is img
+    img = _image(3)
+    assert _one_record_batch(img, 7, False).tobytes() == ref_normalize(img, _UNIT).tobytes()
 
 
 def test_augment_deterministic_in_seed():
-    img = np.random.default_rng(4).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-    a = augment(img, 11, enabled=True)
-    b = augment(img, 11, enabled=True)
-    assert np.array_equal(a, b)
-    assert a.shape == (3, 32, 32)
+    img = _image(4)
+    a = _one_record_batch(img, 11, True, epoch=2)
+    b = _one_record_batch(img, 11, True, epoch=2)
+    assert a.shape == (1, 3, 32, 32)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_augment_varies_with_seed():
-    img = np.random.default_rng(5).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-    outs = {augment(img, s, enabled=True).tobytes() for s in range(16)}
+    img = _image(5)
+    outs = {_one_record_batch(img, s, True).tobytes() for s in range(16)}
+    assert len(outs) > 1
+    outs = {_one_record_batch(img, 0, True, epoch=e).tobytes() for e in range(16)}
     assert len(outs) > 1
 
 
 def test_augment_output_is_a_window_of_reflect_pad():
-    img = np.random.default_rng(6).integers(0, 256, (3, 32, 32), dtype=np.uint8)
-    out = augment(img, 13, enabled=True)
-    candidates = []
-    for oy in range(9):
-        for ox in range(9):
-            w = reflect_crop(img, oy, ox)
-            candidates.append(w.tobytes())
-            candidates.append(np.ascontiguousarray(hflip(w)).tobytes())
-    assert out.tobytes() in candidates
+    img = _image(6)
+    windows = {ref_normalize(ref_window(img[0], oy, ox, flip)[None], _UNIT).tobytes()
+               for oy in range(9) for ox in range(9) for flip in (False, True)}
+    assert len(windows) == 162
+    for seed in range(8):
+        assert _one_record_batch(img, seed, True).tobytes() in windows
+    rng = np.random.default_rng(6)
+    for oy, ox in rng.integers(0, 9, size=(8, 2)):
+        flip = bool(rng.random() < 0.5)
+        got = crop_flip(img, [(oy, ox)], [flip])
+        assert got.tobytes() == ref_window(img[0], oy, ox, flip).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +504,9 @@ def test_augmented_batches_are_deterministic():
         assert np.array_equal(xa, xb)
 
 
-def _oracle_batches(raw, batch_size, seed, norm, augment_enabled, epoch):
-    """batch_iter's contract, one record at a time from the file bytes."""
+def _oracle_batches(raw, batch_size, seed, norm, augment_enabled, epoch, drawn=None):
+    """batch_iter's contract, one record at a time from the file bytes; each
+    record's (oy, ox, flip) is added to the set drawn."""
     n = len(raw) // RECORD_BYTES
     perm = stream("shuffle", seed, epoch).permutation(n)
     for start in range(0, n, batch_size):
@@ -473,10 +514,26 @@ def _oracle_batches(raw, batch_size, seed, norm, augment_enabled, epoch):
         for i in perm[start:start + batch_size]:
             rec = raw[i * RECORD_BYTES:(i + 1) * RECORD_BYTES]
             img = np.frombuffer(rec[2:], dtype=np.uint8).reshape(3, 32, 32)
-            imgs.append(augment(img, stream("augment", seed, epoch, int(i)),
-                                enabled=augment_enabled))
+            if augment_enabled:
+                img, draw = ref_augment(img, stream("augment", seed, epoch, int(i)))
+                if drawn is not None:
+                    drawn.add(draw)
+            imgs.append(img)
             labels.append(rec[1])
-        yield normalize(np.stack(imgs), norm), np.array(labels, dtype=np.int64)
+        yield ref_normalize(np.stack(imgs), norm), np.array(labels, dtype=np.int64)
+
+
+def _assert_batches_match_oracle(recs, raw, batch_size, seed, stats, augment_enabled,
+                                 epoch, drawn=None):
+    got = list(batch_iter(recs, batch_size, seed, stats, augment_enabled, epoch=epoch))
+    want = list(_oracle_batches(raw, batch_size, seed, stats, augment_enabled, epoch, drawn))
+    assert len(got) == len(want) == -(-len(recs) // batch_size)
+    for batch, (images, labels) in zip(got, want):
+        assert batch.images.data.dtype == images.dtype == np.float32
+        assert batch.images.data.flags.c_contiguous
+        assert batch.images.data.tobytes() == images.tobytes()
+        assert batch.labels.dtype == np.int64
+        assert np.array_equal(batch.labels, labels)
 
 
 @pytest.mark.parametrize("augment_enabled", [False, True])
@@ -487,14 +544,25 @@ def test_batch_iter_matches_per_record_oracle(tmp_path, augment_enabled):
     recs = load_records(path)
     stats = compute_norm_stats(recs)
     for epoch in (0, 1):
-        got = list(batch_iter(recs, 5, 4, stats, augment_enabled, epoch=epoch))
-        want = list(_oracle_batches(raw, 5, 4, stats, augment_enabled, epoch))
-        assert len(got) == len(want) == 5
-        for batch, (images, labels) in zip(got, want):
-            assert batch.images.data.dtype == images.dtype == np.float32
-            assert batch.images.data.tobytes() == images.tobytes()
-            assert batch.labels.dtype == np.int64
-            assert np.array_equal(batch.labels, labels)
+        _assert_batches_match_oracle(recs, raw, 5, 4, stats, augment_enabled, epoch)
+
+
+@pytest.mark.parametrize("batch_size", [1024, 1000])
+def test_augmented_batches_match_the_oracle_on_random_pixels(batch_size):
+    """2,048 records of uniformly random bytes, so that 0 and 255 lie on
+    the reflect borders, at a full-size batch and at one that leaves a
+    short last batch; every offset and both flips occur."""
+    rng = np.random.default_rng(15)
+    recs = Records(np.rec.fromarrays([rng.integers(0, 20, 2048), rng.integers(0, 100, 2048),
+                                      rng.integers(0, 256, (2048, 3072), dtype=np.uint8)],
+                                     dtype=RECORD))
+    stats = compute_norm_stats(recs)
+    drawn = set()
+    for epoch in (0, 1):
+        _assert_batches_match_oracle(recs, recs.array.tobytes(), batch_size, 7, stats,
+                                     True, epoch, drawn)
+    assert {(oy, ox) for oy, ox, _ in drawn} == {(oy, ox) for oy in range(9) for ox in range(9)}
+    assert {flip for _, _, flip in drawn} == {False, True}
 
 
 def test_augmentation_changes_some_pixels():

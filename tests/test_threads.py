@@ -10,6 +10,7 @@ import json
 import os
 import platform
 import resource
+import signal
 import subprocess
 import sys
 import threading
@@ -357,9 +358,30 @@ def test_a_sweep_frees_each_rebuilt_output_at_its_producer(monkeypatch):
     assert alive_at_each_rebuild == [0] * (3 * cfg.n_layers + 1)
 
 
+class _Calls:
+    """A chunk function that sleeps (chunk 0 for first_seconds) and counts
+    the calls that have started and that are still running."""
+
+    def __init__(self, seconds, first_seconds=None):
+        self.seconds, self.first_seconds = seconds, first_seconds or seconds
+        self.started = self.running = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, c):
+        with self.lock:
+            self.started += 1
+            self.running += 1
+        try:
+            time.sleep(self.first_seconds if c == 0 else self.seconds)
+            return c
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
 def test_run_chunks_hands_each_result_on_in_chunk_order(monkeypatch):
-    """`then` runs on the calling thread in chunk order, and a failing
-    `then` also waits for every call."""
+    """`then` runs on the calling thread in chunk order; when a `then`
+    fails, no call is still running and the queued calls never start."""
     monkeypatch.setattr(tensor, "_WORKERS", 4)
     caller = threading.get_ident()
     seen = []
@@ -376,12 +398,7 @@ def test_run_chunks_hands_each_result_on_in_chunk_order(monkeypatch):
     assert tensor.run_chunks(fn, 8, tensor._GRAIN, then=then) == list(range(8))
     assert seen == [caller] * 8
 
-    done = np.zeros(8, dtype=bool)
-
-    def slow(c):
-        time.sleep(0.01)
-        done[c] = True
-        return c
+    slow = _Calls(0.01)
 
     def fail_at_1(c):
         if c == 1:
@@ -389,8 +406,25 @@ def test_run_chunks_hands_each_result_on_in_chunk_order(monkeypatch):
         return c
 
     with pytest.raises(ValueError, match="then 1"):
-        tensor.run_chunks(slow, 8, tensor._GRAIN, then=fail_at_1)
-    assert done.all()
+        tensor.run_chunks(slow, 64, tensor._GRAIN, then=fail_at_1)
+    assert slow.running == 0
+    assert slow.started < 64
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_in_then_cancels_the_queued_calls(monkeypatch, stop):
+    """Ctrl-C, or SIGTERM turned into SystemExit, at chunk 0 of 64 surfaces
+    once the calls already started have ended, without running the rest."""
+    monkeypatch.setattr(tensor, "_WORKERS", max(tensor._WORKERS, 2))
+    calls = _Calls(0.02)
+
+    def interrupt(c):
+        raise stop()
+
+    with pytest.raises(stop):
+        tensor.run_chunks(calls, 64, tensor._GRAIN, then=interrupt)
+    assert calls.running == 0
+    assert calls.started <= 2 * tensor._WORKERS
 
 
 @pytest.mark.parametrize("kind", ["super", "sdpa"])
@@ -528,16 +562,39 @@ def test_freed_heap_is_reused_without_page_faults():
     assert round_faults() < 80 * 256 // 10
 
 
-def test_a_failing_chunk_raises_after_every_chunk_has_finished(monkeypatch):
+def test_ctrl_c_while_waiting_for_a_chunk_ends_the_running_calls_first(monkeypatch):
+    """A KeyboardInterrupt raised in the caller while it waits for chunk 0
+    surfaces only after chunk 0, which is running, has ended."""
+    monkeypatch.setattr(tensor, "_WORKERS", max(tensor._WORKERS, 2))
+    calls = _Calls(0.05, first_seconds=0.4)
+
+    def ctrl_c(signum, frame):
+        raise KeyboardInterrupt
+
+    old = signal.signal(signal.SIGALRM, ctrl_c)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(KeyboardInterrupt):
+            tensor.run_chunks(calls, 64, tensor._GRAIN)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert calls.running == 0
+    assert calls.started <= 2 * tensor._WORKERS
+
+
+def test_a_failing_chunk_raises_after_every_started_chunk_has_finished(monkeypatch):
+    """The calls already running end before the failure is raised; the
+    queued ones are cancelled."""
     monkeypatch.setattr(tensor, "_WORKERS", 4)
-    done = np.zeros(8, dtype=bool)
+    calls = _Calls(0.01)
 
     def chunk(c):
         if c == 2:
             raise ValueError("chunk 2")
-        time.sleep(0.01)
-        done[c] = True
+        calls(c)
 
     with pytest.raises(ValueError, match="chunk 2"):
-        tensor.run_chunks(chunk, 8, tensor._GRAIN)
-    assert done.sum() == 7
+        tensor.run_chunks(chunk, 64, tensor._GRAIN)
+    assert calls.running == 0
+    assert calls.started < 63
