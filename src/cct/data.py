@@ -249,12 +249,12 @@ def cached_norm_stats(records, cache_path) -> NormStats:
 # ---------------------------------------------------------------------------
 
 def crop_flip(images: np.ndarray, offsets, flip) -> np.ndarray:
-    """Random crop from reflect-pad 4 plus horizontal flip, for a batch.
+    """Crop from reflect-pad 4 plus horizontal flip, for a whole batch.
 
     images (N, 3, 32, 32); offsets (N, 2) gives each image's window (oy, ox)
     in [0, 8] of its padded image, (4, 4) being the identity; flip (N,) bool
-    mirrors the window left to right. Returns a new array: one pad, one
-    gather of every window and one flip for the whole batch.
+    mirrors the window left to right. Returns a new array, made by one pad,
+    one gather of every window and one flip.
     """
     offsets, flip = np.asarray(offsets), np.asarray(flip, dtype=bool)
     padded = np.pad(images, ((0, 0), (0, 0), (4, 4), (4, 4)), mode="reflect")

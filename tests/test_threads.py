@@ -566,14 +566,14 @@ def test_ctrl_c_while_waiting_for_a_chunk_ends_the_running_calls_first(monkeypat
     """A KeyboardInterrupt raised in the caller while it waits for chunk 0
     surfaces only after chunk 0, which is running, has ended."""
     monkeypatch.setattr(tensor, "_WORKERS", max(tensor._WORKERS, 2))
-    calls = _Calls(0.05, first_seconds=0.4)
+    calls = _Calls(0.2, first_seconds=0.6)
 
     def ctrl_c(signum, frame):
         raise KeyboardInterrupt
 
     old = signal.signal(signal.SIGALRM, ctrl_c)
     try:
-        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
         with pytest.raises(KeyboardInterrupt):
             tensor.run_chunks(calls, 64, tensor._GRAIN)
     finally:
