@@ -17,7 +17,7 @@ from .attention import (
 )
 from .model import ModelConfig, model_param_count
 from .seeding import stream
-from .tensor import ConfigError, Tensor, backward, no_grad, tensor_sum
+from .tensor import ConfigError, Tensor, gradients, no_grad
 
 BENCH_FIELDS = ("kind", "d", "ctx", "fwd_ms_median", "fwd_bwd_ms_median",
                 "flops_model")
@@ -55,7 +55,9 @@ def _median_ms(fn, iters: int, warmup: int) -> float:
 def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
                     seed: int = 0, log=None):
     """Median wall time of one-sample forward and forward+backward passes
-    for both mechanisms, next to the analytic FLOP totals."""
+    for both mechanisms, next to the analytic FLOP totals. The backward is
+    one reverse sweep seeded with ones, returning the gradients of the input
+    and the attention weights; it writes no .grad."""
     if iters < 10:
         raise ConfigError(f"iters must be >= 10, got {iters}")
     if warmup < 5:
@@ -70,6 +72,7 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
                 cfg = AttentionConfig(kind=kind, d_model=d,
                                       n_heads=_bench_heads(d), ctx_len=ctx)
                 params = init_attention_params(cfg, stream("init", seed, 1))
+                weights = [w for w in vars(params).values() if w is not None]
 
                 def fwd():
                     with no_grad():
@@ -77,7 +80,8 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
 
                 def fwd_bwd():
                     x = Tensor(x_data, requires_grad=True)
-                    backward(tensor_sum(attention_forward(x, params, cfg)))
+                    y = attention_forward(x, params, cfg)
+                    gradients(y, np.ones_like(y.data), (x, *weights))
 
                 row = BenchRow(
                     kind=kind, d=d, ctx=ctx,

@@ -201,8 +201,8 @@ def _branch_dropout(x: Tensor, cfg: ModelConfig, training: bool, dropout_seed: i
                     chunk: int, layer_idx: int, branch: int) -> Tensor:
     if not training or cfg.dropout_p == 0.0:
         return x
-    rng = stream("dropout", cfg.seed, dropout_seed, chunk, layer_idx, branch)
-    return dropout(x, cfg.dropout_p, training=True, seed=rng)
+    return dropout(x, cfg.dropout_p,
+                   stream("dropout", cfg.seed, dropout_seed, chunk, layer_idx, branch))
 
 
 def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,

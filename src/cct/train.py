@@ -74,7 +74,9 @@ def _check_finite(loss: float, grads, epoch: int, step: int) -> None:
 
 def train_step(params, cfg: ModelConfig, batch, step: int):
     """One train step without the update: (loss, logits, {name: gradient})
-    in canonical order, with dropout keyed by `step`.
+    in canonical order, with dropout keyed by `step`. The gradients come back
+    in that dict only (no parameter's .grad is set), so nothing of the step
+    is held once the caller drops what it returned.
 
     Each chunk runs its forward, its rows of the loss gradient and its
     reverse sweep as one task on a pool worker, so at most one chunk graph
@@ -100,9 +102,7 @@ def train_step(params, cfg: ModelConfig, batch, step: int):
     logits = np.concatenate([z for z, _ in outs])
     loss = np.asarray(np.concatenate([losses for _, losses in outs]).mean(),
                       dtype=logits.dtype)
-    for t, g in zip(leaves, sums):
-        t.grad = g
-    return loss.item(), logits, {name: t.grad for name, t in params.items()}
+    return loss.item(), logits, dict(zip(params.names(), sums))
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -231,7 +231,7 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
                 b = len(batch.labels)
                 loss_sum += loss * b
                 t1, t5 = _batch_metrics(logits, batch.labels, cfg.n_classes)
-                del logits  # hold nothing of this step while the next one runs
+                del logits, grads  # hold nothing of this step while the next one runs
                 top1_sum += t1 * b
                 top5_sum += t5 * b
                 total += b
@@ -298,12 +298,12 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
         loss, logits, grads = train_step(params, cfg, batch, step)
         _check_finite(loss, grads, 0, step)
         top1 = topk_accuracy(logits, batch.labels, 1)
-        del logits  # hold nothing of this step while the next one runs
         history.append((loss, top1))
         if top1 >= target:
             reached_at = step
             break
         adamw_step(params, grads, state, hp)
+        del logits, grads  # hold nothing of this step while the next one runs
         if step % 25 == 0:
             say(f"step {step}: loss {loss:.4f}, top1 {top1:.1f}%")
     return {"reached": reached_at is not None, "steps": reached_at,

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+import cct.bench
 from cct.attention import AttentionConfig, attention_flops
 from cct.bench import (
     BENCH_FIELDS,
@@ -24,6 +25,18 @@ def test_bench_row_count_and_flops():
         assert r.flops_model == attention_flops(cfg).total
         assert r.fwd_ms_median > 0
         assert r.fwd_bwd_ms_median > r.fwd_ms_median
+
+
+def test_bench_fwd_bwd_writes_no_grad(monkeypatch):
+    """The timed backward returns its gradients: no weight's .grad grows
+    over the timed iterations."""
+    made, real = [], cct.bench.init_attention_params
+    monkeypatch.setattr(cct.bench, "init_attention_params",
+                        lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+    bench_attention([8], [4], iters=10, warmup=5)
+    weights = [w for p in made for w in vars(p).values() if w is not None]
+    assert len(made) == 2 and len(weights) == 8
+    assert all(w.grad is None for w in weights)
 
 
 def test_bench_rejects_too_few_iters():

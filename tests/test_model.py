@@ -187,6 +187,19 @@ def test_forward_shape_and_determinism():
     assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_eval_forward_draws_no_dropout():
+    """Dropout is the model's to skip: in eval the logits are those of
+    dropout_p = 0, and in training the same model drops."""
+    imgs = Tensor(np.random.default_rng(12).normal(size=(2, 3, 32, 32)).astype(np.float32))
+    params = init_params(small_cfg(), seed=0)
+    plain = forward(imgs, params, small_cfg(), training=False)
+    cfg = small_cfg(dropout_p=0.5)
+    evald = forward(imgs, params, cfg, training=False, dropout_seed=3)
+    trained = forward(imgs, params, cfg, training=True, dropout_seed=3)
+    assert evald.data.tobytes() == plain.data.tobytes()
+    assert trained.data.tobytes() != plain.data.tobytes()
+
+
 def test_forward_init_reproducible():
     cfg = small_cfg()
     pa, pb = init_params(cfg, seed=4), init_params(cfg, seed=4)

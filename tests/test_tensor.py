@@ -19,6 +19,7 @@ from cct.tensor import (
     cross_entropy,
     dropout,
     gelu,
+    gradients,
     layernorm,
     linear,
     matmul,
@@ -27,6 +28,7 @@ from cct.tensor import (
     relu,
     softmax_rows,
     tape,
+    transpose,
 )
 
 from oracles import naive_conv2d, naive_maxpool2d, naive_softmax_rows
@@ -34,6 +36,18 @@ from oracles import naive_conv2d, naive_maxpool2d, naive_softmax_rows
 
 def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def ones_seeded(y, leaves):
+    """The gradients of sum(y) for `leaves`: one sweep seeded with ones."""
+    return gradients(y, np.ones_like(y.data), leaves)
+
+
+def xent_grad_of(z, labels):
+    """d(mean cross entropy)/d(logits z): (softmax - one-hot) / batch."""
+    onehot = np.zeros_like(z)
+    onehot[np.arange(len(z)), labels] = 1.0
+    return (naive_softmax_rows(z) - onehot) / len(z)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +91,10 @@ def test_matmul_grad_matches_central_differences():
 
     a = t64(a0, requires_grad=True)
     b = t64(b0, requires_grad=True)
-    backward(matmul(a, b).sum())
+    da, db = ones_seeded(matmul(a, b), (a, b))
 
     h = 1e-6
-    for arr, grad in ((a0, a.grad), (b0, b.grad)):
+    for arr, grad in ((a0, da), (b0, db)):
         num = np.zeros_like(arr)
         for idx in np.ndindex(arr.shape):
             p = arr.copy()
@@ -97,11 +111,11 @@ def test_matmul_grad_broadcast_mixing_matrix():
     rng = np.random.default_rng(3)
     wa = t64(rng.normal(size=(3, 3)), requires_grad=True)
     x = t64(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    backward(matmul(wa, x).sum())
+    dwa, dx = ones_seeded(matmul(wa, x), (wa, x))
     # d sum(Wa x) / d Wa = sum_b g x_b^T with g all-ones
     g = np.ones((2, 3, 4))
-    npt.assert_allclose(wa.grad, (g @ x.data.transpose(0, 2, 1)).sum(axis=0), rtol=1e-12)
-    npt.assert_allclose(x.grad, np.broadcast_to(wa.data.T @ g, x.data.shape), rtol=1e-12)
+    npt.assert_allclose(dwa, (g @ x.data.transpose(0, 2, 1)).sum(axis=0), rtol=1e-12)
+    npt.assert_allclose(dx, np.broadcast_to(wa.data.T @ g, x.data.shape), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +177,11 @@ def test_conv2d_backward_bias_and_weight():
     x = t64(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
     w = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     b = t64(rng.normal(size=3), requires_grad=True)
-    y = conv2d(x, w, b, stride=1, pad=1)
-    backward(y.sum())
+    dx, dw, db = ones_seeded(conv2d(x, w, b, stride=1, pad=1), (x, w, b))
     # bias gradient: one contribution per output pixel
-    npt.assert_allclose(b.grad, np.full(3, 2 * 4 * 4), rtol=1e-12)
-    assert x.grad.shape == x.shape and w.grad.shape == w.shape
-    assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
+    npt.assert_allclose(db, np.full(3, 2 * 4 * 4), rtol=1e-12)
+    assert dx.shape == x.shape and dw.shape == w.shape
+    assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dw))
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +203,19 @@ def test_maxpool_gradient_routes_to_argmax():
     x0 = np.zeros((1, 1, 4, 4))
     x0[0, 0, 1, 2] = 100.0  # dominates every window containing it
     x = t64(x0, requires_grad=True)
-    y = maxpool2d(x, k=2, stride=2, pad=0)
-    backward(y.sum())
+    dx, = ones_seeded(maxpool2d(x, k=2, stride=2, pad=0), (x,))
     # window (0, 1) covers rows 0:2, cols 2:4; its gradient lands on (1,2) only
-    assert x.grad[0, 0, 1, 2] == 1.0
-    assert x.grad[0, 0, 0, 2] == 0.0 and x.grad[0, 0, 0, 3] == 0.0 and x.grad[0, 0, 1, 3] == 0.0
+    assert dx[0, 0, 1, 2] == 1.0
+    assert dx[0, 0, 0, 2] == 0.0 and dx[0, 0, 0, 3] == 0.0 and dx[0, 0, 1, 3] == 0.0
 
 
 def test_maxpool_tie_break_first_in_window():
     x0 = np.ones((1, 1, 2, 2))
     x = t64(x0, requires_grad=True)
-    y = maxpool2d(x, k=2, stride=2, pad=0)
-    backward(y.sum())
+    dx, = ones_seeded(maxpool2d(x, k=2, stride=2, pad=0), (x,))
     expect = np.zeros((1, 1, 2, 2))
     expect[0, 0, 0, 0] = 1.0  # first element in row-major window order
-    npt.assert_array_equal(x.grad, expect)
+    npt.assert_array_equal(dx, expect)
 
 
 @pytest.mark.parametrize("shape,k,stride,pad", [
@@ -242,8 +253,8 @@ def test_gelu_zero_and_phi_one():
 
 def test_relu_subgradient_zero_at_zero():
     x = t64([-1.0, 0.0, 2.0], requires_grad=True)
-    backward(relu(x).sum())
-    npt.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+    dx, = ones_seeded(relu(x), (x,))
+    npt.assert_array_equal(dx, [0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +349,19 @@ def test_linear_agrees_with_matmul_op():
 # dropout
 # ---------------------------------------------------------------------------
 
-def test_dropout_p0_and_eval_identity():
+def gen(seed):
+    return np.random.default_rng(seed)
+
+
+def test_dropout_p0_keeps_every_element():
     x = Tensor(np.random.default_rng(0).normal(size=(5, 5)).astype(np.float32))
-    npt.assert_array_equal(dropout(x, p=0.0, training=True, seed=1).data, x.data)
-    npt.assert_array_equal(dropout(x, p=0.9, training=False, seed=1).data, x.data)
+    npt.assert_array_equal(dropout(x, 0.0, gen(1)).data, x.data)
 
 
 def test_dropout_deterministic_and_zero_fraction():
     x = Tensor(np.ones(10_000, dtype=np.float32))
-    y1 = dropout(x, p=0.5, training=True, seed=42)
-    y2 = dropout(x, p=0.5, training=True, seed=42)
+    y1 = dropout(x, 0.5, gen(42))
+    y2 = dropout(x, 0.5, gen(42))
     npt.assert_array_equal(y1.data, y2.data)
     zero_frac = float(np.mean(y1.data == 0.0))
     # binomial: 3 sigma = 3 * sqrt(0.25 / 10000) = 0.015
@@ -357,19 +371,24 @@ def test_dropout_deterministic_and_zero_fraction():
     npt.assert_allclose(survivors, 2.0, rtol=1e-6)
 
 
+def test_dropout_draws_its_mask_from_the_generator_it_is_given():
+    x = Tensor(np.ones(1000, dtype=np.float32))
+    keep = gen(5).random(1000) >= 0.3
+    npt.assert_array_equal(dropout(x, 0.3, gen(5)).data != 0.0, keep)
+
+
 def test_dropout_grad_is_mask_over_keep_prob():
     x = t64(np.ones(1000), requires_grad=True)
-    y = dropout(x, p=0.25, training=True, seed=3)
-    backward(y.sum())
-    npt.assert_allclose(x.grad, np.where(y.data != 0.0, 1 / 0.75, 0.0), rtol=1e-12)
+    y = dropout(x, 0.25, gen(3))
+    dx, = ones_seeded(y, (x,))
+    npt.assert_allclose(dx, np.where(y.data != 0.0, 1 / 0.75, 0.0), rtol=1e-12)
 
 
 def test_dropout_p_range():
     x = Tensor(np.ones(3))
-    with pytest.raises(ConfigError):
-        dropout(x, p=1.5, training=True, seed=0)
-    # p=1 allowed as a test case: everything zeroed
-    npt.assert_array_equal(dropout(x, p=1.0, training=True, seed=0).data, np.zeros(3))
+    for p in (-0.1, 1.0, 1.5):  # p = 1 would drop everything
+        with pytest.raises(ConfigError):
+            dropout(x, p, gen(0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +438,53 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 # backward / tape
 # ---------------------------------------------------------------------------
 
+def _linear_xent(seed=0):
+    """A leaf x through linear and cross_entropy: (x, w, labels)."""
+    r = np.random.default_rng(seed)
+    x, w = t64(r.normal(size=(3, 4)), True), t64(r.normal(size=(4, 5)), True)
+    return x, w, np.array([1, 4, 0])
+
+
 def test_backward_sum_of_squares():
-    x = t64([1.0, -2.0, 3.0], requires_grad=True)
-    backward((x * x).sum())
+    # x @ x^T of a row vector is its sum of squares, a (1, 1) loss
+    x = t64([[1.0, -2.0, 3.0]], requires_grad=True)
+    backward(matmul(x, transpose(x, (1, 0))))
     npt.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
 
 def test_backward_accumulates_across_calls():
-    x = t64([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    x, w, labels = _linear_xent()
+    loss = cross_entropy(linear(x, w), labels)
     backward(loss)
+    once = x.grad.copy()
     backward(loss)
-    npt.assert_allclose(x.grad, 4 * x.data, rtol=1e-12)
+    npt.assert_allclose(once, xent_grad_of(x.data @ w.data, labels) @ w.data.T, rtol=1e-12)
+    assert x.grad.tobytes() == (once + once).tobytes()
 
 
 def test_backward_rejects_non_scalar():
-    x = t64([1.0, 2.0], requires_grad=True)
+    x, w, _ = _linear_xent()
     with pytest.raises(AutodiffError):
-        backward(x * x)
+        backward(linear(x, w))
 
 
 def test_diamond_graph_gradient():
-    # y = sum(x*x + x*x): each branch contributes 2x
-    x = t64([1.0, 2.0], requires_grad=True)
-    a = x * x
-    backward((a + a).sum())
-    npt.assert_allclose(x.grad, 4 * x.data, rtol=1e-12)
+    # loss(a + a): both parents of the add are one node, whose gradient is
+    # the sum of the two branches
+    z = t64(np.random.default_rng(1).normal(size=(3, 5)), requires_grad=True)
+    labels = np.array([2, 0, 4])
+    a = z.reshape(3, 5)
+    backward(cross_entropy(a + a, labels))
+    npt.assert_allclose(z.grad, 2 * xent_grad_of(2 * z.data, labels), rtol=1e-12)
 
 
 def test_tape_is_topologically_ordered():
     x = t64([[1.0, 2.0]], requires_grad=True)
-    w = t64([[1.0], [1.0]], requires_grad=True)
-    y = relu(matmul(x, w)).sum()
+    w = t64([[1.0, -1.0, 0.5], [1.0, 2.0, -3.0]], requires_grad=True)
+    y = cross_entropy(relu(matmul(x, w)), np.array([1]))
     order = tape(y)
     assert isinstance(order, list)
-    assert [t._op for t in order] == ["matmul", "relu", "sum"]
+    assert [t._op for t in order] == ["matmul", "relu", "cross_entropy"]
     ids = [t.node_id for t in order]
     seen = set()
     for t in order:
@@ -464,8 +495,8 @@ def test_tape_is_topologically_ordered():
 
 def test_backward_reads_rule_at_replay_time():
     # a rule swapped in after the op returned is the one backward calls
-    x = t64([1.0, 2.0], requires_grad=True)
-    y = x * x
+    x = t64([[1.0, -2.0, 3.0]], requires_grad=True)
+    y = relu(x)
     rule, calls = y._rule, []
 
     def wrapped(g):
@@ -473,16 +504,18 @@ def test_backward_reads_rule_at_replay_time():
         return rule(g)
 
     y._rule = wrapped
-    backward(y.sum())
-    assert calls == [(2,)]
-    npt.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
+    backward(cross_entropy(y, np.array([2])))
+    assert calls == [(1, 3)]
+    want = xent_grad_of(np.maximum(x.data, 0), [2]) * (x.data > 0)
+    npt.assert_allclose(x.grad, want, rtol=1e-12)
 
 
 def test_a_rule_wrapped_on_an_interior_output_runs_from_a_later_root():
     # as a tracer wraps each op's rule as it returns; the caller then drops
     # the output and backward starts from a root built on top of it
-    x = t64([1.0, -2.0], requires_grad=True)
-    h = x * x
+    x, w, labels = _linear_xent(2)
+    h = linear(x, w)
+    hd = h.data.copy()
     rule, calls = h._rule, []
 
     def wrapped(g):
@@ -490,11 +523,12 @@ def test_a_rule_wrapped_on_an_interior_output_runs_from_a_later_root():
         return rule(g)
 
     h._rule = wrapped
-    root = (relu(h) * 3.0).sum()
+    root = cross_entropy(relu(h), labels)
     del h
     backward(root)
-    assert calls == [(2,)]
-    npt.assert_allclose(x.grad, 6 * x.data, rtol=1e-12)
+    assert calls == [(3, 5)]
+    gh = xent_grad_of(np.maximum(hd, 0), labels) * (hd > 0)
+    npt.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-12)
 
 
 def _shared_layernorm_graph():
@@ -504,7 +538,7 @@ def _shared_layernorm_graph():
     w1, w2 = t64(rng.normal(size=(4, 5)), True), t64(rng.normal(size=(4, 5)), True)
     h = layernorm(x, gamma, beta)
     a, b = linear(h, w1), linear(h, w2)
-    return (a * b).sum(), (x, gamma, beta, w1, w2), (a, b)
+    return a + b, (x, gamma, beta, w1, w2), (a, b)
 
 
 def _count_rebuilds(monkeypatch):
@@ -522,9 +556,9 @@ def _same_bytes(d1, d2):
 def test_a_sweep_rebuilds_an_operand_with_two_readers_once(monkeypatch):
     root, leaves, _ = _shared_layernorm_graph()
     calls = _count_rebuilds(monkeypatch)
-    first = tensor.gradients(root, np.ones(()), leaves)
+    first = ones_seeded(root, leaves)
     assert len(calls) == 1
-    assert _same_bytes(tensor.gradients(root, np.ones(()), leaves), first)
+    assert _same_bytes(ones_seeded(root, leaves), first)
     assert len(calls) == 2
     assert getattr(tensor._local, "remade", None) is None
 
@@ -533,17 +567,17 @@ def test_a_nested_sweep_of_the_same_graph_rebuilds_its_own_copy(monkeypatch):
     """A sweep started inside a rule of the graph it sweeps keeps its own
     rebuilds and leaves the outer sweep's in place."""
     root, leaves, (a, _) = _shared_layernorm_graph()
-    want = tensor.gradients(root, np.ones(()), leaves)
+    want = ones_seeded(root, leaves)
     calls = _count_rebuilds(monkeypatch)
     rule, inner = a._rule, []
 
     def nested(g):
         a._rule = rule  # the nested sweep runs the plain rule
-        inner.append(tensor.gradients(root, np.ones(()), leaves))
+        inner.append(ones_seeded(root, leaves))
         return rule(g)
 
     a._rule = nested
-    outer = tensor.gradients(root, np.ones(()), leaves)
+    outer = ones_seeded(root, leaves)
     assert len(calls) == 2
     assert _same_bytes(inner[0], want) and _same_bytes(outer, want)
 
@@ -552,7 +586,7 @@ def test_concurrent_sweeps_of_one_graph_each_rebuild_their_own_copy(monkeypatch)
     """Sweep 1 reads the shared operand only after sweep 0 has rebuilt it,
     while sweep 0 still holds its copy: sweep 1 still rebuilds its own."""
     root, leaves, (a, b) = _shared_layernorm_graph()
-    want = tensor.gradients(root, np.ones(()), leaves)
+    want = ones_seeded(root, leaves)
     calls = _count_rebuilds(monkeypatch)
     turn, state = [threading.Event(), threading.Event()], threading.local()
 
@@ -574,7 +608,7 @@ def test_concurrent_sweeps_of_one_graph_each_rebuild_their_own_copy(monkeypatch)
 
     def sweep(i):
         state.i, state.done = i, False
-        return tensor.gradients(root, np.ones(()), leaves)
+        return ones_seeded(root, leaves)
 
     with ThreadPoolExecutor(2) as pool:
         results = list(pool.map(sweep, range(2)))
@@ -583,9 +617,9 @@ def test_concurrent_sweeps_of_one_graph_each_rebuild_their_own_copy(monkeypatch)
 
 
 def test_no_grad_blocks_recording():
-    x = t64([1.0], requires_grad=True)
+    x = t64([[1.0, 2.0]], requires_grad=True)
     with no_grad():
-        y = (x * x).sum()
+        y = cross_entropy(x, np.array([0]))
     assert not y.requires_grad
     with pytest.raises(AutodiffError):
         backward(y)

@@ -233,15 +233,15 @@ def test_train_step_returns_plain_values_in_canonical_order():
     assert type(logits) is np.ndarray and logits.shape == (8, cfg.n_classes)
     assert list(grads) == list(params.names())
     for name, t in params.items():
-        assert grads[name] is t.grad and grads[name].shape == t.shape
+        assert t.grad is None and grads[name].shape == t.shape
 
 
 def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None):
     """A two-epoch TINY run (two steps per epoch, a checkpoint after each
     epoch) whose step 2, the first of epoch 1, gets its first chunk's logits
-    passed to spoil_logits after that chunk's forward and its params to
-    spoil_grads after train_step. Returns the NonFiniteError message, and
-    the run's params and AdamW state as they were when it was raised."""
+    passed to spoil_logits after that chunk's forward and the gradients
+    train_step returned to spoil_grads. Returns the NonFiniteError message,
+    and the run's params and AdamW state as they were when it was raised."""
     seen = {}
     real_forward_tokens, real_step = cct.train.forward_tokens, cct.train.train_step
     real_adamw = cct.train.adamw_step
@@ -257,7 +257,7 @@ def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None
         seen["params"] = params
         result = real_step(params, cfg, batch, step)
         if step == 2 and spoil_grads:
-            spoil_grads(params)
+            spoil_grads(result[2])
         return result
 
     def adamw_step(params, grads, state, hp):
@@ -305,10 +305,10 @@ def test_a_nan_loss_stops_the_run_before_the_update(data_dir, tmp_path, monkeypa
 def test_a_non_finite_gradient_names_the_first_parameter(data_dir, tmp_path, monkeypatch):
     names = []
 
-    def spoil(params):
-        names[:] = params.names()
-        params[names[7]].grad[0] = np.inf
-        params[names[3]].grad[..., -1] = np.nan
+    def spoil(grads):
+        names[:] = grads
+        grads[names[7]][0] = np.inf
+        grads[names[3]][..., -1] = np.nan
 
     out = tmp_path / "out"
     msg, params, state = _spoiled_run(data_dir, out, monkeypatch, spoil_grads=spoil)
@@ -491,8 +491,9 @@ def test_overfit_stops_on_a_nan_loss(monkeypatch):
 @pytest.fixture
 def graphs_alive_at_forward(monkeypatch):
     """For each chunk forward of a train step and each eval forward, whether
-    an earlier step's logits are still alive: a chunk's, which its graph's
-    root held, or the batch's, which train_step returned."""
+    anything of an earlier step is still alive: a chunk's logits, which its
+    graph's root held, or the batch's logits or a gradient array, which
+    train_step returned."""
     real_forward, real_forward_tokens = cct.train.forward, cct.train.forward_tokens
     real_step = cct.train.train_step
     earlier, alive = [], []
@@ -512,7 +513,7 @@ def graphs_alive_at_forward(monkeypatch):
 
     def train_step(params, cfg, batch, step):
         loss, logits, grads = real_step(params, cfg, batch, step)
-        earlier.append((step, weakref.ref(logits)))
+        earlier.extend((step, weakref.ref(a)) for a in (logits, *grads.values()))
         return loss, logits, grads
 
     monkeypatch.setattr(cct.train, "forward", forward)
