@@ -12,17 +12,24 @@ these hashes.
 `batch_iter` epoch's image and label bytes over 2,048 synthetic records at
 batch 1000 (seed 3, epoch 0), so that the last batch is a short one.
 
-Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest)
+`norm` pins the normalization stats: the sha256 of `compute_norm_stats`'s
+mean and std bytes over the same 2,048 synthetic records, then over 2,048
+records of random pixels (numpy Generator seed 3) followed by one all-255
+and one all-0 record.
+
+Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest norm)
 """
 import hashlib
 import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from cct.data import (TEST_FILE, TRAIN_FILE, batch_iter, compute_norm_stats,  # noqa: E402
-                      synthetic_dataset, write_records)
+from cct.data import (RECORD, TEST_FILE, TRAIN_FILE, Records, batch_iter,  # noqa: E402
+                      compute_norm_stats, synthetic_dataset, write_records)
 from cct.train import RunConfig, train  # noqa: E402
 
 
@@ -50,12 +57,26 @@ def ingest_hash() -> str:
     return h.hexdigest()[:16]
 
 
+def norm_hash() -> str:
+    pixels = np.random.default_rng(3).integers(0, 256, (2050, 3072), dtype=np.uint8)
+    pixels[-2], pixels[-1] = 255, 0
+    labels = np.zeros(len(pixels), dtype=np.uint8)
+    h = hashlib.sha256()
+    for records in (synthetic_dataset(2048, 100, seed=0),
+                    Records(np.rec.fromarrays([labels, labels, pixels], dtype=RECORD))):
+        norm = compute_norm_stats(records)
+        h.update(norm.mean.tobytes())
+        h.update(norm.std.tobytes())
+    return h.hexdigest()[:16]
+
+
 def main(names) -> None:
+    data_hashes = {"ingest": ingest_hash, "norm": norm_hash}
     with tempfile.TemporaryDirectory() as work:
         for name in names:
-            print(name, ingest_hash() if name == "ingest" else desk_hash(name, work),
+            print(name, data_hashes[name]() if name in data_hashes else desk_hash(name, work),
                   flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ["super", "sdpa", "ingest"])
+    main(sys.argv[1:] or ["super", "sdpa", "ingest", "norm"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import replacing
 from .seeding import stream
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, Tensor, run_chunks
 
 RECORD = np.dtype((np.record, [("coarse_label", "u1"), ("fine_label", "u1"),
                                ("pixels", "u1", (3072,))]))
@@ -140,33 +140,54 @@ def write_records(path, records) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-# Records per block of the per-channel value counts: a block's temporaries
-# (one channel's pixels and bincount's int64 copy) stay far below the split.
-_STATS_BLOCK = 128
+# Each channel is summed in segments of 256 pixels. 256 squares of at most
+# 255**2 sum to 16,646,400 < 2**24, so every partial sum of a segment's
+# values or squares is an integer that float32 holds exactly, in whatever
+# order BLAS adds, and the totals depend on neither the block, the span nor
+# the worker count. A 64-record block is about 786 KB of float32, so the
+# blocks the workers hold stay far below the split. A pool call sums a span
+# of 1024 records block by block: calls of one block each spent more in
+# thread handoffs than the pool gained (2 cores, 50,000 records: 0.091 s
+# against 0.086 s inline and 0.072 s in spans, medians of 15).
+_SEGMENT_ONES = np.ones(256, dtype=np.float32)
+_STATS_BLOCK = 64
+_STATS_SPAN = 1024
+
+
+def _span_sums(pixels) -> np.ndarray:
+    """(sums, sums of squares) per channel of pixels (N, 3072) uint8, as a
+    (2, 3) int64 array."""
+    totals = np.zeros((2, 3), dtype=np.int64)
+    for lo in range(0, len(pixels), _STATS_BLOCK):
+        block = pixels[lo:lo + _STATS_BLOCK]
+        x = block.astype(np.float32).reshape(len(block), 3, -1, _SEGMENT_ONES.size)
+        totals[0] += (x @ _SEGMENT_ONES).astype(np.int64).sum(axis=(0, 2))
+        x *= x
+        totals[1] += (x @ _SEGMENT_ONES).astype(np.int64).sum(axis=(0, 2))
+    return totals
 
 
 def compute_norm_stats(records) -> NormStats:
     """Per-channel mean/std of pixel values scaled to [0,1]; zero std is
     clamped to 1 so constant channels stay finite.
 
-    Both come from exact per-channel counts of the 256 pixel values, so no
-    float copy of the split is made. The mean is the exact sum over the
-    count, rounded once, as numpy's float64 mean gives it; the variance is
-    exact before its one rounding.
+    Each channel's sum and sum of squares are exact integers, made from
+    float32 row sums of 256-pixel segments (see _SEGMENT_ONES), one block
+    of records at a time on the chunk pool, so no copy of the split is
+    made. The mean is the exact sum over the count, rounded once, as
+    numpy's float64 mean gives it; the variance is exact before its one
+    rounding.
     """
     if not len(records):
         raise DataError("compute_norm_stats: no records")
-    pixels = records.array["pixels"].reshape(len(records), 3, -1)
-    counts = np.zeros((3, 256), dtype=np.int64)
-    for lo in range(0, len(pixels), _STATS_BLOCK):
-        for c in range(3):
-            counts[c] += np.bincount(pixels[lo:lo + _STATS_BLOCK, c].ravel(),
-                                     minlength=256)
+    pixels = records.array["pixels"]
+    parts = run_chunks(lambda i: _span_sums(pixels[i * _STATS_SPAN:(i + 1) * _STATS_SPAN]),
+                       -(-len(pixels) // _STATS_SPAN), _STATS_SPAN * pixels.shape[1])
+    # Python ints: no overflow below
+    totals = [sum(t) for t in zip(*(part.ravel().tolist() for part in parts))]
+    n = len(records) * IMG_SHAPE[1] * IMG_SHAPE[2]
     mean, std = [], []
-    for per_value in counts.tolist():  # Python ints: no overflow below
-        n = sum(per_value)
-        s = sum(v * k for v, k in enumerate(per_value))
-        sq = sum(v * v * k for v, k in enumerate(per_value))
+    for s, sq in zip(totals[:3], totals[3:]):
         mean.append(s / n)
         std.append(math.sqrt((n * sq - s * s) / (n * n)))
     mean = np.array(mean) / 255.0
@@ -204,8 +225,10 @@ def _split_key(records) -> tuple:
 
 
 def save_norm_stats(path, norm: NormStats, key) -> None:
-    """Write norm to path, with its split's key (see _split_key)."""
-    with open(path, "w") as f:
+    """Write norm to path, with its split's key (see _split_key), through a
+    temporary file renamed over path: a write that fails part way leaves no
+    file whose key matches and whose stats are cut short."""
+    with replacing(path, "w") as f:
         f.write("records " + " ".join(str(k) for k in key) + "\n")
         f.write("mean " + " ".join(repr(float(v)) for v in norm.mean) + "\n")
         f.write("std " + " ".join(repr(float(v)) for v in norm.std) + "\n")

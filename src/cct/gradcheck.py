@@ -7,6 +7,7 @@ pushed away from their kinks so finite differences stay valid.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,14 +228,16 @@ class OpReport:
 
 def run_suite(instances: int = 100, tol: float = 1e-5, seed: int = 0,
               cases=None) -> list[OpReport]:
-    """Gradient-check every case on `instances` random inputs each."""
+    """Gradient-check every case on `instances` random inputs each. A case's
+    inputs are drawn from its name, so they stay the same whatever other
+    cases run beside it."""
     if cases is None:
         cases = OP_CASES
     reports = []
-    for op_idx, (op, builder) in enumerate(sorted(cases.items())):
+    for op, builder in sorted(cases.items()):
         worst, failures = 0.0, 0
         for i in range(instances):
-            rng = np.random.default_rng([seed, op_idx, i])
+            rng = np.random.default_rng([seed, zlib.crc32(op.encode()), i])
             fn, inputs = builder(rng)
             res = grad_check(fn, inputs, tol=tol, seed=seed)
             worst = max(worst, res.max_rel_err)

@@ -328,3 +328,24 @@ def ref_normalize(images, norm):
     shape = (3, 1, 1)
     return (x / 255.0 - norm.mean.reshape(shape).astype(dtype)) \
         / norm.std.reshape(shape).astype(dtype)
+
+
+def ref_norm_stats(pixels, block=128):
+    """Per-channel (mean, std) of pixels (N, 3072) uint8 scaled to [0, 1],
+    from exact counts of the 256 values per channel (np.bincount over blocks
+    of records), with the exact integer sums and zero std clamped to 1."""
+    pixels = np.asarray(pixels).reshape(len(pixels), 3, -1)
+    counts = np.zeros((3, 256), dtype=np.int64)
+    for lo in range(0, len(pixels), block):
+        for c in range(3):
+            counts[c] += np.bincount(pixels[lo:lo + block, c].ravel(), minlength=256)
+    mean, std = [], []
+    for per_value in counts.tolist():  # Python ints: no overflow below
+        n = sum(per_value)
+        s = sum(v * k for v, k in enumerate(per_value))
+        sq = sum(v * v * k for v, k in enumerate(per_value))
+        mean.append(s / n)
+        std.append(math.sqrt((n * sq - s * s) / (n * n)))
+    mean = np.array(mean) / 255.0
+    std = np.array(std) / 255.0
+    return mean, np.where(std < 1e-8, 1.0, std)

@@ -1,4 +1,5 @@
 """Dataset loading, normalization, augmentation, batching, synthetic data."""
+import errno
 import math
 import os
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cct.data
+import cct.tensor
 import cct.train
 from cct.data import (
     IMG_SHAPE,
@@ -34,7 +36,7 @@ from cct.data import (
 )
 from cct.seeding import stream
 from cct.tensor import ConfigError
-from oracles import ref_augment, ref_normalize, ref_window
+from oracles import ref_augment, ref_norm_stats, ref_normalize, ref_window
 
 
 def _filled(*fills, fine=0):
@@ -290,6 +292,51 @@ def test_norm_stats_make_no_copy_of_the_split():
     assert peak < recs.array["pixels"].nbytes
 
 
+def _pixel_split(pixels):
+    """A split of label-0 records holding pixels (N, 3072) uint8."""
+    n = len(pixels)
+    return Records(np.rec.fromarrays([np.zeros(n, np.uint8), np.zeros(n, np.uint8), pixels],
+                                     dtype=RECORD))
+
+
+def _random_split(n, seed=0):
+    return _pixel_split(np.random.default_rng(seed).integers(0, 256, (n, 3072), dtype=np.uint8))
+
+
+_BINCOUNT_SPLITS = {
+    "random_2048": lambda: _random_split(2048),
+    # every segment sums 256 * 255**2 = 16,646,400 squares, the most below 2**24
+    "all_255": lambda: _pixel_split(np.full((2048, 3072), 255, dtype=np.uint8)),
+    "all_0": lambda: _pixel_split(np.zeros((2048, 3072), dtype=np.uint8)),
+    "not_a_block_multiple": lambda: _random_split(1013, seed=1),
+    "one_span_and_a_bit": lambda: _random_split(1030, seed=2),
+    "one_record": lambda: _random_split(1, seed=3),
+    "full_train_split": lambda: _random_split(50_000, seed=4),
+}
+
+
+@pytest.mark.parametrize("workers", [None, 1])
+@pytest.mark.parametrize("split", sorted(_BINCOUNT_SPLITS))
+def test_norm_stats_have_the_bytes_of_the_bincount_oracle(split, workers, monkeypatch):
+    """The float32 segment sums give the exact per-channel totals of the
+    value counts, on the pool and inline."""
+    if workers is not None:
+        monkeypatch.setattr(cct.tensor, "_WORKERS", workers)
+    recs = _BINCOUNT_SPLITS[split]()
+    stats = compute_norm_stats(recs)
+    mean, std = ref_norm_stats(recs.array["pixels"])
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+
+
+def test_norm_stats_do_not_depend_on_block_or_span(monkeypatch):
+    recs = _random_split(700, seed=5)
+    want = _stats_bits(compute_norm_stats(recs))
+    monkeypatch.setattr(cct.data, "_STATS_BLOCK", 3)
+    monkeypatch.setattr(cct.data, "_STATS_SPAN", 40)
+    assert _stats_bits(compute_norm_stats(recs)) == want
+
+
 def test_normalize_denormalize_roundtrip():
     rng = np.random.default_rng(1)
     recs = Records([(0, i, rng.integers(0, 256, 3072, dtype=np.uint8))
@@ -373,6 +420,25 @@ def test_norm_stats_file_without_a_split_key_is_recomputed_and_rewritten(tmp_pat
     assert path.read_text().startswith("records 20 ")
     monkeypatch.setattr(cct.data, "compute_norm_stats", None)
     assert _stats_bits(cached_norm_stats(recs, path)) == _stats_bits(got)
+
+
+def test_a_cache_write_that_fails_midway_leaves_no_torn_file(tmp_path, monkeypatch):
+    """A stats write that fails after its first line (a full disk, say)
+    leaves the path as it was, so the next run computes the stats again
+    instead of stopping on a file with the split's key and no std line."""
+    recs = synthetic_dataset(20, 10, seed=0)
+    real = compute_norm_stats(recs)
+
+    class FullDisk:
+        def __iter__(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cct.data, "compute_norm_stats",
+                        lambda records: NormStats(mean=real.mean, std=FullDisk()))
+    path = tmp_path / "norm_stats.txt"
+    assert cached_norm_stats(recs, path).mean is real.mean
+    assert cached_norm_stats(recs, path).mean is real.mean
+    assert sorted(os.listdir(tmp_path)) == []
 
 
 def test_norm_stats_file_rejects_garbage(tmp_path):

@@ -59,3 +59,12 @@ def test_suite_is_deterministic():
     a = run_suite(instances=2, tol=1e-5, seed=7)
     b = run_suite(instances=2, tol=1e-5, seed=7)
     assert [(r.op, r.max_rel_err) for r in a] == [(r.op, r.max_rel_err) for r in b]
+
+
+def test_an_op_checks_the_same_instances_whatever_cases_run_beside_it():
+    """A case's inputs are keyed by its name, not by its place among the
+    cases, so adding or removing an op leaves every other op's figures."""
+    whole = {r.op: r.max_rel_err for r in run_suite(instances=2, tol=1e-5, seed=3)}
+    subset = {op: OP_CASES[op] for op in ("gelu", "softmax_rows", "transpose")}
+    part = run_suite(instances=2, tol=1e-5, seed=3, cases=subset)
+    assert {r.op: r.max_rel_err for r in part} == {op: whole[op] for op in subset}
