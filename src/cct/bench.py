@@ -52,8 +52,7 @@ def _median_ms(fn, iters: int, warmup: int) -> float:
     return float(np.median(times))
 
 
-def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
-                    seed: int = 0, log=None):
+def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5, seed: int = 0):
     """Median wall time of one-sample forward and forward+backward passes
     for both mechanisms, next to the analytic FLOP totals. The backward is
     one reverse sweep seeded with ones, returning the gradients of the input
@@ -62,7 +61,6 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
         raise ConfigError(f"iters must be >= 10, got {iters}")
     if warmup < 5:
         raise ConfigError(f"warmup must be >= 5, got {warmup}")
-    say = log or (lambda msg: None)
     rows = []
     for d in dims:
         for ctx in ctxs:
@@ -83,16 +81,11 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5,
                     y = attention_forward(x, params, cfg)
                     gradients(y, np.ones_like(y.data), (x, *weights))
 
-                row = BenchRow(
+                rows.append(BenchRow(
                     kind=kind, d=d, ctx=ctx,
                     fwd_ms_median=_median_ms(fwd, iters, warmup),
                     fwd_bwd_ms_median=_median_ms(fwd_bwd, iters, warmup),
-                    flops_model=attention_flops(cfg).total)
-                rows.append(row)
-                say(f"{kind:5s} d={d:4d} ctx={ctx:4d}: "
-                    f"fwd {row.fwd_ms_median:8.3f} ms, "
-                    f"fwd+bwd {row.fwd_bwd_ms_median:8.3f} ms, "
-                    f"{row.flops_model} flops")
+                    flops_model=attention_flops(cfg).total))
     return rows
 
 
@@ -126,45 +119,20 @@ def crossover_warnings(rows) -> list:
 # parameter report
 # ---------------------------------------------------------------------------
 
-PARAM_REPORT_FIELDS = ("kind", "tokenizer", "per_layer_attention",
-                       "per_layer_mlp", "norms", "seqpool", "head", "total")
-
-
-def param_report(cfg: ModelConfig):
+def param_report(cfg: ModelConfig) -> str:
     """Component-wise parameter counts for both attention kinds at the same
-    dims, plus super/sdpa ratios. Returns (text, csv_rows)."""
-    counts = {}
-    for kind in KINDS:
-        kcfg = dataclasses.replace(cfg, attn_kind=kind)
-        counts[kind] = model_param_count(kcfg)
-
+    dims, plus super/sdpa ratios, as text."""
+    counts = {kind: model_param_count(dataclasses.replace(cfg, attn_kind=kind))
+              for kind in KINDS}
     attn_ratio = counts["super"]["per_layer_attention"] \
         / counts["sdpa"]["per_layer_attention"]
     total_ratio = counts["super"]["total"] / counts["sdpa"]["total"]
 
-    rows = []
-    for kind in KINDS:
-        row = {"kind": kind}
-        row.update({k: counts[kind][k] for k in PARAM_REPORT_FIELDS[1:]})
-        rows.append(row)
-    rows.append({"kind": "super/sdpa", "tokenizer": "",
-                 "per_layer_attention": f"{attn_ratio:.6f}",
-                 "per_layer_mlp": "", "norms": "", "seqpool": "", "head": "",
-                 "total": f"{total_ratio:.6f}"})
-
-    ctx = cfg.ctx_len
     lines = [f"model d={cfg.d_model} layers={cfg.n_layers} heads={cfg.n_heads} "
-             f"ctx={ctx} classes={cfg.n_classes}",
+             f"ctx={cfg.ctx_len} classes={cfg.n_classes}",
              f"{'component':>20s} {'sdpa':>12s} {'super':>12s}"]
-    for k in PARAM_REPORT_FIELDS[1:]:
+    for k in counts["sdpa"]:
         lines.append(f"{k:>20s} {counts['sdpa'][k]:>12d} {counts['super'][k]:>12d}")
     lines.append(f"{'attention ratio':>20s} {attn_ratio:>25.6f}")
     lines.append(f"{'total ratio':>20s} {total_ratio:>25.6f}")
-    return "\n".join(lines), rows
-
-
-def write_param_csv(rows, f) -> None:
-    w = csv.DictWriter(f, fieldnames=PARAM_REPORT_FIELDS)
-    w.writeheader()
-    for r in rows:
-        w.writerow(r)
+    return "\n".join(lines)

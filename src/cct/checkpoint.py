@@ -7,8 +7,9 @@ Layout (all integers little-endian):
     hlen    u32      length of the JSON header
     header  hlen bytes of UTF-8 JSON: an object of exactly five keys, the
                      model config, optimizer hyperparameters, seed, epoch and
-                     optimizer step count; the two config objects carry
-                     exactly their class's fields, and none is null
+                     optimizer step count (the last three JSON integers);
+                     the two config objects carry exactly their class's
+                     fields, and none is null
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name nlen bytes UTF-8
@@ -94,25 +95,29 @@ def _read_tensor(f):
 @contextmanager
 def replacing(path, mode="wb", **open_kwargs):
     """Open a temporary file beside `path` and move it over `path` with
-    os.replace when the block ends; if the block raises, remove it instead.
-    `path` so holds either its previous contents or the whole new file."""
+    os.replace when the block ends; if the block or the move raises, remove
+    it instead. `path` so holds either its previous contents or the whole
+    new file."""
     tmp = os.fspath(path) + ".tmp"
+    held = None
     try:
         with open(tmp, mode, **open_kwargs) as f:
             yield f
+        # Freeing the replaced file's blocks inside the rename waits for the
+        # writeback of the new file that ext4 starts there (auto_da_alloc);
+        # on a 38 MB checkpoint that made the save 45 % slower. Holding the
+        # old file open moves that free to a close on another thread.
+        try:
+            held = os.open(path, os.O_RDONLY) if os.name == "posix" else None
+        except OSError:  # no previous file to hold
+            pass
+        os.replace(tmp, path)
     except BaseException:
+        if held is not None:
+            os.close(held)
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    # Freeing the replaced file's blocks inside the rename waits for the
-    # writeback of the new file that ext4 starts there (auto_da_alloc); on a
-    # 38 MB checkpoint that made the save 45 % slower. Holding the old file
-    # open moves that free to a close on another thread.
-    try:
-        held = os.open(path, os.O_RDONLY) if os.name == "posix" else None
-    except OSError:  # no previous file to hold
-        held = None
-    os.replace(tmp, path)
     if held is not None:
         threading.Thread(target=os.close, args=(held,)).start()
 
@@ -175,7 +180,11 @@ def load_checkpoint(path) -> CheckpointData:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version "
                                   f"{version} (expected {VERSION})")
-        header = json.loads(_read_exact(f, hlen).decode("utf-8"))
+        hbytes = _read_exact(f, hlen)
+        try:
+            header = json.loads(hbytes.decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+            raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from None
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         tensors = dict(_read_tensor(f) for _ in range(count))
         if f.read(1):
@@ -186,6 +195,10 @@ def load_checkpoint(path) -> CheckpointData:
         if header[key] is None:
             raise CheckpointError(f"{path}: header {key} is null: the checkpoint "
                                   f"carries no optimizer state to resume from")
+    for key in ("seed", "epoch", "opt_t"):
+        if type(header[key]) is not int:  # bool is an int subclass
+            raise CheckpointError(f"{path}: header {key} is not an integer "
+                                  f"(got {header[key]!r})")
     cfg = _config_from_header(path, ModelConfig, header["model"])
     hp = _config_from_header(path, AdamWHyperParams, header["optimizer"])
     expected = canonical_param_names(cfg)
@@ -198,8 +211,8 @@ def load_checkpoint(path) -> CheckpointData:
 
     params = ParameterSet((name, Tensor(tensors[name], requires_grad=True))
                           for name in expected)
-    opt_state = AdamWState(t=int(header["opt_t"]),
+    opt_state = AdamWState(t=header["opt_t"],
                            m={n: tensors[f"adamw.m.{n}"] for n in expected},
                            v={n: tensors[f"adamw.v.{n}"] for n in expected})
-    return CheckpointData(cfg=cfg, params=params, seed=int(header["seed"]),
-                          epoch=int(header["epoch"]), hp=hp, opt_state=opt_state)
+    return CheckpointData(cfg=cfg, params=params, seed=header["seed"],
+                          epoch=header["epoch"], hp=hp, opt_state=opt_state)

@@ -10,14 +10,8 @@ import os
 import sys
 
 from .attention import KINDS
-from .bench import (
-    bench_attention,
-    crossover_warnings,
-    param_report,
-    write_bench_csv,
-    write_param_csv,
-)
-from .gradcheck import run_full_suite
+from .bench import bench_attention, crossover_warnings, param_report, write_bench_csv
+from .gradcheck import run_suite
 from .train import evaluate, load_run_config, overfit, train
 
 
@@ -48,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out-dir", required=True)
     t.add_argument("--seed", type=int)
     t.add_argument("--attn", choices=KINDS, dest="attn_kind")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--no-augment", action="store_true")
     t.add_argument("--resume", help="checkpoint to continue from")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -60,14 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("params", help="parameter count report")
     pa.add_argument("--config", required=True)
-    pa.add_argument("--csv", help="also write the report as CSV")
 
-    b = sub.add_parser("bench", help="attention micro-benchmark")
+    b = sub.add_parser("bench", help="attention micro-benchmark, CSV on stdout")
     b.add_argument("--dims", type=_int_list, required=True)
     b.add_argument("--ctx", type=_int_list, required=True)
     b.add_argument("--iters", type=int, default=20)
     b.add_argument("--warmup", type=int, default=5)
-    b.add_argument("--out", help="CSV output path (default stdout)")
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     g.add_argument("--tol", type=float, default=1e-4)
@@ -83,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    run = load_run_config(args.config, seed=args.seed, attn_kind=args.attn_kind,
-                          epochs=args.epochs, batch_size=args.batch_size,
-                          augment=False if args.no_augment else None)
+    run = load_run_config(args.config, seed=args.seed, attn_kind=args.attn_kind)
     result = train(run, _data_dir(args), args.out_dir,
                    resume_from=args.resume, log=print)
     print(f"done: {result['checkpoint']}")
@@ -102,29 +89,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_params(args) -> int:
     run = load_run_config(args.config)
-    text, rows = param_report(run.model_config())
-    print(text)
-    if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            write_param_csv(rows, f)
+    print(param_report(run.model_config()))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    rows = bench_attention(args.dims, args.ctx, iters=args.iters,
-                           warmup=args.warmup, log=print if args.out else None)
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            write_bench_csv(rows, f)
-    else:
-        write_bench_csv(rows, sys.stdout)
+    rows = bench_attention(args.dims, args.ctx, iters=args.iters, warmup=args.warmup)
+    write_bench_csv(rows, sys.stdout)
     for w in crossover_warnings(rows):
         print(w, file=sys.stderr)
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
-    reports = run_full_suite(instances=args.instances, tol=args.tol)
+    reports = run_suite(instances=args.instances, tol=args.tol)
     failed = [r for r in reports if not r.ok]
     for r in reports:
         status = "ok" if r.ok else "FAIL"

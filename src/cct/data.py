@@ -209,13 +209,6 @@ def normalize(images, norm: NormStats):
     return x
 
 
-def denormalize(images, norm: NormStats):
-    x = np.asarray(images)
-    shape = (3, 1, 1)
-    return (x * norm.std.reshape(shape).astype(x.dtype)
-            + norm.mean.reshape(shape).astype(x.dtype)) * 255.0
-
-
 def _split_key(records) -> tuple:
     """(record count, crc32 of the coarse then the fine label column): what
     a stats file records of the split it came from. The pixels are left
@@ -243,8 +236,11 @@ def _stats_fields(path) -> dict:
 def load_norm_stats(path) -> NormStats:
     fields = _stats_fields(path)
     fields.pop("records", None)
-    vals = {key: np.array([float(v) for v in nums], dtype=np.float64)
-            for key, nums in fields.items()}
+    try:
+        vals = {key: np.array([float(v) for v in nums], dtype=np.float64)
+                for key, nums in fields.items()}
+    except ValueError:  # a number that does not parse
+        vals = {}
     if set(vals) != {"mean", "std"} or vals["mean"].shape != (3,) or vals["std"].shape != (3,):
         raise DataError(f"{path}: malformed normalization stats")
     return NormStats(mean=vals["mean"], std=vals["std"])

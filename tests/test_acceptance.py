@@ -31,7 +31,7 @@ from cct.data import (
     synthetic_dataset,
     write_records,
 )
-from cct.gradcheck import MECHANISM_CASES, OP_CASES, run_full_suite
+from cct.gradcheck import MECHANISM_CASES, OP_CASES, run_suite
 from cct.metrics import read_metrics
 from cct.model import ModelConfig, forward_tokens, init_params, model_param_count
 from cct.tensor import Tensor, no_grad
@@ -55,7 +55,7 @@ def tiny_data(tmp_path_factory):
 
 def test_criterion_01_gradient_suite():
     t0 = time.time()
-    reports = run_full_suite(instances=100, tol=1e-4, seed=0)
+    reports = run_suite(instances=100, tol=1e-4, seed=0)
     elapsed = time.time() - t0
     names = [r.op for r in reports]
     ok = (len(names) == len(set(names))

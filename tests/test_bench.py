@@ -1,4 +1,5 @@
 """Micro-benchmark output shape and parameter report cross-checks."""
+import dataclasses
 import io
 
 import pytest
@@ -11,7 +12,6 @@ from cct.bench import (
     crossover_warnings,
     param_report,
     write_bench_csv,
-    write_param_csv,
 )
 from cct.model import ModelConfig, model_param_count
 from cct.tensor import ConfigError
@@ -72,33 +72,30 @@ def test_crossover_warnings_only_flag_sub_d_contexts():
     ]) == []
 
 
+def _report_rows(text):
+    """{label: the numbers after it} of the report's lines below its two
+    header lines: two counts (sdpa, super) or one super/sdpa ratio."""
+    rows = {}
+    for line in text.splitlines()[2:]:
+        words = line.split()
+        n = 1 if "ratio" in line else 2
+        rows[" ".join(words[:-n])] = words[-n:]
+    return rows
+
+
 def test_param_report_matches_model_counts():
     cfg = ModelConfig(d_model=512, n_layers=6, n_heads=8)
-    text, rows = param_report(cfg)
-    by_kind = {r["kind"]: r for r in rows}
-    for kind in ("sdpa", "super"):
-        import dataclasses
-        want = model_param_count(dataclasses.replace(cfg, attn_kind=kind))
-        got = by_kind[kind]
-        assert all(got[k] == want[k] for k in
-                   ("tokenizer", "per_layer_attention", "total"))
+    rows = _report_rows(param_report(cfg))
+    want = {kind: model_param_count(dataclasses.replace(cfg, attn_kind=kind))
+            for kind in ("sdpa", "super")}
+    for k in want["sdpa"]:
+        assert rows[k] == [str(want["sdpa"][k]), str(want["super"][k])]
     # d=512, ctx=256: attention-only ratio is exactly 0.8125
-    assert by_kind["super/sdpa"]["per_layer_attention"] == "0.812500"
-    assert "0.812500" in text
+    assert rows["attention ratio"] == ["0.812500"]
+    assert len(rows) == len(want["sdpa"]) + 2
 
 
 def test_param_report_ratio_one_at_equal_dims():
     # ctx == d: img 32 pools to 16x16 = 256 tokens at d_model 256
     cfg = ModelConfig(d_model=256, n_layers=2, n_heads=4)
-    _, rows = param_report(cfg)
-    ratio = [r for r in rows if r["kind"] == "super/sdpa"][0]
-    assert ratio["per_layer_attention"] == "1.000000"
-
-
-def test_param_csv_roundtrip():
-    cfg = ModelConfig(d_model=64, n_layers=2, n_heads=2)
-    _, rows = param_report(cfg)
-    buf = io.StringIO()
-    write_param_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 4  # header + sdpa + super + ratio
+    assert _report_rows(param_report(cfg))["attention ratio"] == ["1.000000"]

@@ -84,13 +84,17 @@ def test_rejects_unknown_version(tmp_path):
         load_checkpoint(path)
 
 
-def _put_header(path, header):
-    """Replace the file's JSON header with `header`, dumped as saves do."""
+def _put_header_bytes(path, hbytes):
+    """Replace the file's header bytes with `hbytes`."""
     raw = path.read_bytes()
     hlen = struct.unpack("<I", raw[8:12])[0]
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
                      + raw[12 + hlen:])
+
+
+def _put_header(path, header):
+    """Replace the file's JSON header with `header`, dumped as saves do."""
+    _put_header_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8"))
 
 
 def _rewrite_header(path, edit):
@@ -163,6 +167,30 @@ def test_rejects_header_that_is_not_an_object(tmp_path):
     _put_header(path, ["model", "optimizer", "seed", "epoch", "opt_t"])
     with pytest.raises(CheckpointError,
                        match=rf"^{re.escape(str(path))}: header is not a JSON object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("hbytes", [b"\xff\xfe{}", b'{"model": '],
+                         ids=["not-utf8", "not-json"])
+def test_rejects_header_that_is_not_utf8_json(tmp_path, hbytes):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _put_header_bytes(path, hbytes)
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header is not UTF-8 JSON"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value", [("epoch", 2.5), ("seed", True),
+                                       ("opt_t", 3.0), ("epoch", "1")])
+def test_rejects_top_level_count_that_is_not_an_integer(tmp_path, key, value):
+    """A float or a bool would load truncated or as 0/1 (epoch 2.5 as 2,
+    seed true as 1), so it is refused."""
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h.update({key: value}))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: header {key} is not an integer"):
         load_checkpoint(path)
 
 
@@ -283,3 +311,21 @@ def test_save_over_a_checkpoint_closes_the_replaced_file(tmp_path):
     assert len(os.listdir("/proc/self/fd")) == before
     assert load_checkpoint(path).epoch == 4
     assert os.listdir(tmp_path) == ["ck.bin"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_rename_closes_the_old_file_and_removes_the_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        with checkpoint.replacing(path) as f:
+            f.write(b"new")
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert os.listdir(tmp_path) == ["f.bin"]
+    assert path.read_bytes() == b"old"

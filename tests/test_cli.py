@@ -1,15 +1,18 @@
 """End-to-end runs of every CLI subcommand."""
+import argparse
+import re
 import subprocess
 from pathlib import Path
 
 import pytest
 
 import cct.tensor
-from cct.cli import main
+from cct.cli import build_parser, main
 from cct.data import synthetic_dataset, write_records
 from cct.metrics import read_metrics
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +27,15 @@ def data_dir(tmp_path_factory):
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text("d_model = 32\nn_layers = 1\nn_heads = 2\n"
-                    "batch_size = 32\neval_batch_size = 64\n")
+                    "batch_size = 32\neval_batch_size = 64\n"
+                    "epochs = 1\naugment = false\n")
     return path
 
 
 def test_train_then_eval(data_dir, tiny_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["train", "--config", str(tiny_cfg), "--data-dir", str(data_dir),
-               "--out-dir", str(out), "--seed", "3", "--attn", "super",
-               "--epochs", "1", "--no-augment"])
+               "--out-dir", str(out), "--seed", "3", "--attn", "super"])
     assert rc == 0
     rows = read_metrics(out / "metrics.csv")
     assert [(r.epoch, r.split) for r in rows] == [(0, "train"), (0, "val")]
@@ -47,7 +50,7 @@ def test_data_dir_env_fallback(data_dir, tiny_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("CCT_DATA_DIR", str(data_dir))
     out = tmp_path / "run"
     rc = main(["train", "--config", str(tiny_cfg), "--out-dir", str(out),
-               "--seed", "0", "--epochs", "1", "--no-augment"])
+               "--seed", "0"])
     assert rc == 0
 
 
@@ -58,13 +61,11 @@ def test_missing_data_dir_is_an_error(tiny_cfg, tmp_path, monkeypatch):
               "--out-dir", str(tmp_path / "o"), "--seed", "0"])
 
 
-def test_params_command(tiny_cfg, tmp_path, capsys):
-    csv_path = tmp_path / "params.csv"
-    rc = main(["params", "--config", str(tiny_cfg), "--csv", str(csv_path)])
+def test_params_command(tiny_cfg, capsys):
+    rc = main(["params", "--config", str(tiny_cfg)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sdpa" in out and "super" in out and "ratio" in out
-    assert csv_path.exists()
 
 
 def test_params_command_reads_the_shipped_full_config(capsys):
@@ -79,12 +80,10 @@ def test_shipped_launch_script_parses():
     subprocess.run(["bash", "-n", str(SCRIPTS / "train_full.sh")], check=True)
 
 
-def test_bench_command(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--dims", "8", "--ctx", "4,8", "--iters", "10",
-               "--out", str(out)])
+def test_bench_command(capsys):
+    rc = main(["bench", "--dims", "8", "--ctx", "4,8", "--iters", "10"])
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
+    lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 4
     assert lines[0].startswith("kind,d,ctx")
 
@@ -111,3 +110,23 @@ def test_overfit_command(capsys):
     rc = main(["overfit", "--n", "16", "--steps", "150", "--seed", "0"])
     assert rc == 0
     assert "reached" in capsys.readouterr().out
+
+
+def _readme_cli_flags():
+    """{subcommand: flags} of the `cct ...` lines of README's ## CLI block."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("cct "):
+            commands[line.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return commands
+
+
+def test_readme_cli_block_names_exactly_the_parsers_commands_and_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser = {name: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+              for name, p in sub.choices.items()}
+    assert _readme_cli_flags() == parser

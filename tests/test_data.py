@@ -26,7 +26,6 @@ from cct.data import (
     cached_norm_stats,
     compute_norm_stats,
     crop_flip,
-    denormalize,
     load_cifar100,
     load_norm_stats,
     load_records,
@@ -337,16 +336,6 @@ def test_norm_stats_do_not_depend_on_block_or_span(monkeypatch):
     assert _stats_bits(compute_norm_stats(recs)) == want
 
 
-def test_normalize_denormalize_roundtrip():
-    rng = np.random.default_rng(1)
-    recs = Records([(0, i, rng.integers(0, 256, 3072, dtype=np.uint8))
-                    for i in range(5)])
-    stats = compute_norm_stats(recs)
-    x = recs.array["pixels"].reshape(-1, *IMG_SHAPE).astype(np.float64)
-    back = denormalize(normalize(x, stats), stats)
-    assert np.max(np.abs(back - x)) < 1e-6
-
-
 def test_normalize_uint8_gives_float32():
     stats = compute_norm_stats(_filled(100, 200))
     out = normalize(np.full(IMG_SHAPE, 100, dtype=np.uint8), stats)
@@ -447,6 +436,13 @@ def test_norm_stats_file_rejects_garbage(tmp_path):
     with pytest.raises(DataError):
         load_norm_stats(path)
 
+
+def test_norm_stats_file_with_numbers_that_do_not_parse_is_refused(tmp_path):
+    path = tmp_path / "norm_stats.txt"
+    path.write_text("records 20 123\nmean 0.1 0.2 a\nstd 1 1 1\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: malformed "
+                                        rf"normalization stats"):
+        load_norm_stats(path)
 
 # ---------------------------------------------------------------------------
 # augmentation

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cct.tensor
-from cct.gradcheck import OP_CASES, grad_check, run_suite
+from cct.gradcheck import MECHANISM_CASES, OP_CASES, grad_check, run_suite
 from cct.tensor import ConfigError, Tensor, gelu, matmul, transpose
 
 
@@ -42,7 +42,7 @@ def test_broken_backward_rule_is_caught(monkeypatch):
 
 def test_suite_covers_all_ops_and_passes():
     reports = run_suite(instances=3, tol=1e-5, seed=0)
-    assert {r.op for r in reports} == set(OP_CASES)
+    assert {r.op for r in reports} == set(OP_CASES) | set(MECHANISM_CASES)
     for r in reports:
         assert r.failures == 0, f"{r.op}: max_rel_err={r.max_rel_err}"
         assert r.max_rel_err < 1e-5
