@@ -186,7 +186,10 @@ def load_checkpoint(path) -> CheckpointData:
         except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
             raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from None
         (count,) = struct.unpack("<I", _read_exact(f, 4))
-        tensors = dict(_read_tensor(f) for _ in range(count))
+        try:
+            tensors = dict(_read_tensor(f) for _ in range(count))
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from None
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor table")
 

@@ -50,6 +50,8 @@ class ModelConfig:
         for name in ("img_size", "n_classes", "n_layers", "mlp_ratio", "conv_blocks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.img_size % POOL_STRIDE ** self.conv_blocks:

@@ -181,6 +181,18 @@ def test_rejects_header_that_is_not_utf8_json(tmp_path, hbytes):
         load_checkpoint(path)
 
 
+def test_rejects_tensor_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    raw = bytearray(path.read_bytes())
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    raw[12 + hlen + 4 + 2] = 0xFF  # past the tensor count and the name length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: tensor name is not UTF-8"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key,value", [("epoch", 2.5), ("seed", True),
                                        ("opt_t", 3.0), ("epoch", "1")])
 def test_rejects_top_level_count_that_is_not_an_integer(tmp_path, key, value):

@@ -33,7 +33,7 @@ from cct.data import (
     synthetic_dataset,
     write_records,
 )
-from cct.seeding import stream
+from cct.seeding import stream, stream_words
 from cct.tensor import ConfigError
 from oracles import ref_augment, ref_norm_stats, ref_normalize, ref_window
 
@@ -511,6 +511,93 @@ def test_augment_output_is_a_window_of_reflect_pad():
         assert got.tobytes() == ref_window(img[0], oy, ox, flip).tobytes()
 
 
+def _stream_draws(seed, epoch, idxs):
+    """Each record's (oy, ox) and flip drawn through its own stream(), as
+    (offsets (N, 2), flip (N,))."""
+    offsets, flip = [], []
+    for i in idxs:
+        rng = stream("augment", seed, epoch, int(i))
+        offsets.append(rng.integers(0, 9, size=2))
+        flip.append(rng.random() < 0.5)
+    return np.array(offsets, dtype=np.int64).reshape(-1, 2), np.array(flip, dtype=bool)
+
+
+@pytest.mark.parametrize("epoch", [0, 2**40])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+def test_batch_draws_equal_the_per_record_streams(seed, epoch):
+    """The vectorized words give each record's stream draws over 50,000
+    indices, and the whole-batch draws equal them on every row."""
+    idxs = np.arange(50_000)
+    want_offsets, want_flip = _stream_draws(seed, epoch, idxs)
+    words = stream_words("augment", seed, epoch, last=idxs, count=2)
+    offsets, flip, exact = cct.data._draws_from_words(words)
+    assert exact.mean() > 0.999
+    assert np.array_equal(offsets[exact], want_offsets[exact])
+    assert np.array_equal(flip[exact], want_flip[exact])
+    got_offsets, got_flip = cct.data._augment_draws(seed, epoch, idxs)
+    assert np.array_equal(got_offsets, want_offsets) and np.array_equal(got_flip, want_flip)
+    for i in idxs[::997]:
+        assert np.array_equal(words[i],
+                              stream("augment", seed, epoch, int(i)).bit_generator.random_raw(2))
+
+
+class _CountingStream:
+    """A stand-in for cct.data.stream that records each call's key."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, name, *key):
+        self.calls.append((name, *key))
+        return stream(name, *key)
+
+
+def test_indices_from_2_32_take_the_scalar_path(monkeypatch):
+    counting = _CountingStream()
+    monkeypatch.setattr(cct.data, "stream", counting)
+    idxs = np.array([7, 2**32, 0, 2**32 + 5, 2**32 - 1, 2**40])
+    offsets, flip = cct.data._augment_draws(3, 1, idxs)
+    assert counting.calls == [("augment", 3, 1, i) for i in (2**32, 2**32 + 5, 2**40)]
+    want_offsets, want_flip = _stream_draws(3, 1, idxs)
+    assert np.array_equal(offsets, want_offsets) and np.array_equal(flip, want_flip)
+    with pytest.raises(ValueError, match="last key"):
+        stream_words("augment", 3, 1, last=[2**32], count=2)
+
+
+def _lemire_rejects(word):
+    """Whether the Generator's integers(0, 9) rejects the 32-bit word it
+    draws first: the word is put in PCG64's spare 32-bit buffer, and a
+    rejection draws a fresh 64-bit output, which moves the state."""
+    rng = stream("augment", 0, 0, 0)
+    state = rng.bit_generator.state
+    rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": word}
+    rng.integers(0, 9)
+    return rng.bit_generator.state["state"] != state["state"]
+
+
+def test_rejected_lemire_draws_are_flagged_and_drawn_through_stream(monkeypatch):
+    """Lemire rejects a 32-bit word w when w * 9 mod 2**32 < 4, as numpy's
+    Generator does; such a row is drawn through stream()."""
+    inv9 = pow(9, -1, 2**32)
+    low = [0, 3 * inv9 % 2**32, 4 * inv9 % 2**32, 123456789]
+    assert [_lemire_rejects(w) for w in low] == [True, True, False, False]
+    words = np.array([[w | 0x9E3779B9 << 32, 1 << 63] for w in low]
+                     + [[0x9E3779B9 | w << 32, 0] for w in low], dtype=np.uint64)
+    _, flip, exact = cct.data._draws_from_words(words)
+    assert exact.tolist() == [False, False, True, True] * 2
+    assert flip.tolist() == [False] * 4 + [True] * 4
+
+    counting = _CountingStream()
+    monkeypatch.setattr(cct.data, "stream", counting)
+    monkeypatch.setattr(cct.data, "stream_words", lambda *key, last, count: words[:len(last)])
+    idxs = np.arange(10, 18)
+    offsets, flip = cct.data._augment_draws(4, 2, idxs)
+    assert counting.calls == [("augment", 4, 2, int(i)) for i in idxs[[0, 1, 4, 5]]]
+    want_offsets, want_flip = _stream_draws(4, 2, idxs[[0, 1, 4, 5]])
+    assert np.array_equal(offsets[[0, 1, 4, 5]], want_offsets)
+    assert np.array_equal(flip[[0, 1, 4, 5]], want_flip)
+
+
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
@@ -609,15 +696,20 @@ def test_batch_iter_matches_per_record_oracle(tmp_path, augment_enabled):
         _assert_batches_match_oracle(recs, raw, 5, 4, stats, augment_enabled, epoch)
 
 
+def _random_records(n, seed):
+    """n records of uniformly random labels and pixel bytes."""
+    rng = np.random.default_rng(seed)
+    return Records(np.rec.fromarrays([rng.integers(0, 20, n), rng.integers(0, 100, n),
+                                      rng.integers(0, 256, (n, 3072), dtype=np.uint8)],
+                                     dtype=RECORD))
+
+
 @pytest.mark.parametrize("batch_size", [1024, 1000])
 def test_augmented_batches_match_the_oracle_on_random_pixels(batch_size):
     """2,048 records of uniformly random bytes, so that 0 and 255 lie on
     the reflect borders, at a full-size batch and at one that leaves a
     short last batch; every offset and both flips occur."""
-    rng = np.random.default_rng(15)
-    recs = Records(np.rec.fromarrays([rng.integers(0, 20, 2048), rng.integers(0, 100, 2048),
-                                      rng.integers(0, 256, (2048, 3072), dtype=np.uint8)],
-                                     dtype=RECORD))
+    recs = _random_records(2048, seed=15)
     stats = compute_norm_stats(recs)
     drawn = set()
     for epoch in (0, 1):
@@ -625,6 +717,32 @@ def test_augmented_batches_match_the_oracle_on_random_pixels(batch_size):
                                      True, epoch, drawn)
     assert {(oy, ox) for oy, ox, _ in drawn} == {(oy, ox) for oy in range(9) for ox in range(9)}
     assert {flip for _, _, flip in drawn} == {False, True}
+
+
+def test_an_augmented_epoch_builds_only_the_shuffle_stream(monkeypatch):
+    recs = _random_records(2048, seed=16)
+    counting = _CountingStream()
+    monkeypatch.setattr(cct.data, "stream", counting)
+    batches = list(batch_iter(recs, 1024, 5, compute_norm_stats(recs), True, epoch=2))
+    assert len(batches) == 2
+    assert counting.calls == [("shuffle", 5, 2)]
+
+
+@pytest.mark.parametrize("augment_enabled", [False, True])
+def test_pooled_batches_have_the_bytes_of_one_worker(monkeypatch, augment_enabled):
+    """2,101 records, so that every batch size but 1 leaves a short last
+    batch; built on the default pool and with the pool at one worker."""
+    recs = _random_records(2101, seed=17)
+    stats = compute_norm_stats(recs)
+    for batch_size in (1, 5, 1000, 1024):
+        pooled = list(batch_iter(recs, batch_size, 6, stats, augment_enabled, epoch=1))
+        with monkeypatch.context() as m:
+            m.setattr(cct.tensor, "_WORKERS", 1)
+            inline = list(batch_iter(recs, batch_size, 6, stats, augment_enabled, epoch=1))
+        assert len(pooled) == len(inline) == -(-2101 // batch_size)
+        for a, b in zip(pooled, inline):
+            assert a.images.data.tobytes() == b.images.data.tobytes()
+            assert np.array_equal(a.labels, b.labels)
 
 
 def test_augmentation_changes_some_pixels():

@@ -49,6 +49,12 @@ def test_config_rejects_bad_combinations():
         small_cfg(attn_kind="flash")
 
 
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ConfigError, match=rf"^seed must be >= 0, got {seed}$"):
+        small_cfg(seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ def test_run_setting_below_one_is_refused_before_anything_is_written(
     assert not out.exists()
 
 
+def test_run_config_refuses_a_negative_seed():
+    """RunConfig inherits ModelConfig's check, so a negative seed stops at
+    the config rather than in SeedSequence when the parameters are made."""
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -3$"):
+        RunConfig(seed=-3)
+
+
 def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
     readme = (ROOT / "README.md").read_text()
     block = readme.split("### Config file", 1)[1].split("```ini\n", 1)[1]
