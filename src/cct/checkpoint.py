@@ -25,6 +25,7 @@ Round-trips are bit-exact; a failed save leaves the previous file intact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -72,23 +73,28 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 def _read_exact(f, n: int) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, "
-                              f"got {len(buf)}")
+        raise CheckpointError(f"{f.name}: truncated checkpoint: wanted {n} "
+                              f"bytes, got {len(buf)}")
     return buf
 
 
-def _read_tensor(f):
+def _read_tensor(f, size: int):
+    """One tensor from f, an open checkpoint file of size bytes, whose name
+    is its path."""
     (nlen,) = struct.unpack("<H", _read_exact(f, 2))
     name = _read_exact(f, nlen).decode("utf-8")
     code, rank = struct.unpack("<BB", _read_exact(f, 2))
     if code not in _CODE_DTYPES:
-        raise CheckpointError(f"tensor {name!r} has unknown dtype code {code}")
+        raise CheckpointError(f"{f.name}: tensor {name!r} has unknown dtype code {code}")
     dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-    data = np.empty(dims, dtype=_CODE_DTYPES[code])
-    got = f.readinto(data)  # straight into the array: no bytes copy
-    if got != data.nbytes:
-        raise CheckpointError(f"truncated checkpoint: wanted {data.nbytes} "
-                              f"bytes, got {got}")
+    dtype = _CODE_DTYPES[code]
+    nbytes, left = math.prod(dims) * dtype.itemsize, size - f.tell()
+    if nbytes > left:  # refused before corrupt dims can allocate anything
+        raise CheckpointError(f"{f.name}: truncated checkpoint: tensor {name!r} "
+                              f"of shape {dims} needs {nbytes} bytes, {left} left")
+    data = np.empty(dims, dtype=dtype)
+    if f.readinto(data) != nbytes:  # straight into the array: no bytes copy
+        raise CheckpointError(f"{f.name}: checkpoint shrank while it was read")
     return name, data
 
 
@@ -186,8 +192,9 @@ def load_checkpoint(path) -> CheckpointData:
         except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
             raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from None
         (count,) = struct.unpack("<I", _read_exact(f, 4))
+        size = os.fstat(f.fileno()).st_size
         try:
-            tensors = dict(_read_tensor(f) for _ in range(count))
+            tensors = dict(_read_tensor(f, size) for _ in range(count))
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from None
         if f.read(1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import replacing
-from .seeding import stream, stream_words
+from .seeding import stream
 from .tensor import ConfigError, Tensor, run_chunks
 
 RECORD = np.dtype((np.record, [("coarse_label", "u1"), ("fine_label", "u1"),
@@ -287,43 +287,6 @@ def crop_flip(images: np.ndarray, offsets, flip) -> np.ndarray:
     return out
 
 
-def _draws_from_words(words):
-    """(offsets, flip, exact) from each row's first two stream words
-    (N, 2) uint64: integers(0, 9, size=2) is Lemire's bounded method on the
-    low and then the high 32 bits of word 0, and random() < 0.5 holds when
-    word 1's top bit is 0. exact is False where Lemire would reject a draw
-    (32-bit leftover < (2**32 - 9) % 9 = 4, about 8 in 2**32) and so take
-    another word."""
-    halves = np.stack([words[:, 0] & np.uint64(0xFFFFFFFF), words[:, 0] >> np.uint64(32)],
-                      axis=1)
-    m = halves * np.uint64(9)
-    offsets = (m >> np.uint64(32)).astype(np.int64)
-    exact = ((m & np.uint64(0xFFFFFFFF)) >= 4).all(axis=1)
-    return offsets, words[:, 1] >> np.uint64(63) == 0, exact
-
-
-def _augment_draws(seed: int, epoch: int, idxs):
-    """crop_flip's offsets and flips for records idxs, each record's drawn
-    from its own stream("augment", seed, epoch, index): oy, ox, then flip.
-
-    The whole batch's draws come from stream_words, with the bits the
-    streams give. A record whose index does not fit 32 bits, or whose draw
-    Lemire's method would reject, is drawn through stream itself.
-    """
-    idxs = np.asarray(idxs, dtype=np.int64)
-    offsets = np.empty((len(idxs), 2), dtype=np.int64)
-    flip = np.empty(len(idxs), dtype=bool)
-    fast = idxs < 2**32
-    words = stream_words("augment", seed, epoch, last=idxs[fast], count=2)
-    offsets[fast], flip[fast], exact = _draws_from_words(words)
-    fast[fast] = exact
-    for row in np.flatnonzero(~fast):
-        rng = stream("augment", seed, epoch, int(idxs[row]))
-        offsets[row] = rng.integers(0, 9, size=2)
-        flip[row] = rng.random() < 0.5
-    return offsets, flip
-
-
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
@@ -340,27 +303,32 @@ def batch_iter(records, batch_size: int, shuffle_seed: int, norm: NormStats,
     """Deterministic epoch stream; order is a pure function of
     (shuffle_seed, epoch), augmentation of (shuffle_seed, epoch, index).
 
-    Each batch's crops and flips are drawn at once (_augment_draws), then
-    its rows are gathered, cropped and flipped (crop_flip) and normalized
-    into one float32 array, a span of rows per call on the chunk pool.
-    Every row is computed on its own, so the bytes depend on neither the
-    span nor the worker count.
+    An augmented epoch draws one value v in [0, 162) per record of the
+    split, in index order, from stream("augment", shuffle_seed, epoch):
+    record i's window is (oy, ox) = (v // 18, v // 2 % 9) and it is flipped
+    if v is odd. Each batch's rows are gathered, cropped and flipped
+    (crop_flip) and normalized into one float32 array, a span of rows per
+    call on the chunk pool. Every row is computed on its own, so the bytes
+    depend on neither the batch size, the span nor the worker count.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = len(records)
     pixels, fine = records.array["pixels"], records.array["fine_label"]
     perm = stream("shuffle", shuffle_seed, epoch).permutation(n)
+    if augment_enabled:
+        v = stream("augment", shuffle_seed, epoch).integers(0, 162, size=n)
+        offsets, flip = np.stack([v // 18, v // 2 % 9], axis=1), v % 2 == 1
     for start in range(0, n, batch_size):
         idxs = perm[start:start + batch_size]
-        draws = _augment_draws(shuffle_seed, epoch, idxs) if augment_enabled else None
         images = np.empty((len(idxs), *IMG_SHAPE), dtype=np.float32)
 
         def build(part):
             rows = slice(part * _BATCH_SPAN, (part + 1) * _BATCH_SPAN)
-            x = pixels[idxs[rows]].reshape(-1, *IMG_SHAPE)
-            if draws is not None:
-                x = crop_flip(x, draws[0][rows], draws[1][rows])
+            span = idxs[rows]
+            x = pixels[span].reshape(-1, *IMG_SHAPE)
+            if augment_enabled:
+                x = crop_flip(x, offsets[span], flip[span])
             normalize(x, norm, out=images[rows])
 
         run_chunks(build, -(-len(idxs) // _BATCH_SPAN), _BATCH_SPAN * pixels.shape[1])

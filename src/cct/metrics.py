@@ -81,26 +81,36 @@ class MetricsWriter:
         self.close()
 
 
+def _parse_row(values) -> MetricsRow:
+    """A MetricsRow from one CSV row's strings in CSV_FIELDS order; a row of
+    another length or with a value that does not parse raises ValueError."""
+    epoch, step, split, loss, top1, top5, lr, wall_time_s = values
+    return MetricsRow(int(epoch), int(step), split, float(loss), float(top1),
+                      float(top5), float(lr), float(wall_time_s))
+
+
 def drop_rows_from(path, epoch: int) -> None:
-    """Drop the rows of `epoch` and later, for a run that resumes at `epoch`."""
+    """Drop the rows of `epoch` and later, for a run that resumes at `epoch`,
+    and every row that is not whole (a line a crash cut short, a blank
+    line): the resumed epochs write their rows again."""
     if not os.path.exists(path):
         return
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
+    kept = rows[:1]
+    for r in rows[1:]:
+        try:
+            if _parse_row(r).epoch < epoch:
+                kept.append(r)
+        except ValueError:  # not a whole row (ConfigError is a ValueError)
+            pass
     with replacing(path, "w", newline="") as f:
-        csv.writer(f).writerows(rows[:1] + [r for r in rows[1:] if int(r[0]) < epoch])
+        csv.writer(f).writerows(kept)
 
 
 def read_metrics(path):
-    rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != list(CSV_FIELDS):
             raise ConfigError(f"{path}: unexpected CSV header {reader.fieldnames}")
-        for r in reader:
-            rows.append(MetricsRow(
-                epoch=int(r["epoch"]), step=int(r["step"]), split=r["split"],
-                loss=float(r["loss"]), top1=float(r["top1"]),
-                top5=float(r["top5"]), lr=float(r["lr"]),
-                wall_time_s=float(r["wall_time_s"])))
-    return rows
+        return [_parse_row(r[k] for k in CSV_FIELDS) for r in reader]

@@ -312,14 +312,6 @@ def ref_window(image, oy, ox, flip):
     return np.ascontiguousarray(out[:, :, ::-1] if flip else out)
 
 
-def ref_augment(image, rng):
-    """One record's random crop and flip: oy, ox = rng.integers(0, 9, size=2),
-    then flip if rng.random() < 0.5. Returns the window and (oy, ox, flip)."""
-    oy, ox = (int(v) for v in rng.integers(0, 9, size=2))
-    flip = bool(rng.random() < 0.5)
-    return ref_window(image, oy, ox, flip), (oy, ox, flip)
-
-
 def ref_normalize(images, norm):
     """(x / 255 - mean) / std as one expression; uint8 in, float32 out."""
     x = np.asarray(images)

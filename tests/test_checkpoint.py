@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,66 @@ def test_rejects_tensor_name_that_is_not_utf8(tmp_path):
     with pytest.raises(CheckpointError,
                        match=rf"^{re.escape(str(path))}: tensor name is not UTF-8"):
         load_checkpoint(path)
+
+
+def _tensor_fields(raw):
+    """(name, offset of the dtype code byte, rank) of every tensor of a
+    checkpoint's bytes, in file order."""
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    (count,) = struct.unpack("<I", raw[12 + hlen:16 + hlen])
+    at, out = 16 + hlen, []
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", raw[at:at + 2])
+        code_at = at + 2 + nlen
+        code, rank = raw[code_at], raw[code_at + 1]
+        dims = struct.unpack(f"<{rank}I", raw[code_at + 2:code_at + 2 + 4 * rank])
+        out.append((raw[at + 2:code_at].decode(), code_at, rank))
+        at = code_at + 2 + 4 * rank + int(np.prod(dims)) * (4 if code == 0 else 8)
+    return out
+
+
+@pytest.mark.parametrize("cut", ["10_bytes_short", "inside_the_first_name"])
+def test_a_truncated_checkpoint_is_refused_by_name(tmp_path, cut):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    raw = path.read_bytes()
+    end = len(raw) - 10 if cut == "10_bytes_short" else _tensor_fields(raw)[0][1] - 3
+    path.write_bytes(raw[:end])
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: truncated checkpoint"):
+        load_checkpoint(path)
+
+
+def test_an_unknown_dtype_code_is_refused_by_name(tmp_path):
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    raw = bytearray(path.read_bytes())
+    name, code_at, _ = _tensor_fields(raw)[0]
+    raw[code_at] = 99
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: tensor "
+                                              rf"'{re.escape(name)}' has unknown dtype code 99"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(0xFFFFFFFF, 0xFFFFFFFF), (2**14, 2**10)])
+def test_dims_larger_than_the_file_are_refused_before_allocating(tmp_path, dims):
+    """A rank-2 tensor whose dims ask for more bytes than the file holds
+    (2**64 or 64 MiB) is refused without allocating them."""
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    raw = bytearray(path.read_bytes())
+    name, code_at, _ = next(t for t in _tensor_fields(raw) if t[2] == 2)
+    raw[code_at + 2:code_at + 10] = struct.pack("<2I", *dims)
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: truncated "
+                                                  rf"checkpoint: tensor '{re.escape(name)}'"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("key,value", [("epoch", 2.5), ("seed", True),

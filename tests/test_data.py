@@ -1,5 +1,6 @@
 """Dataset loading, normalization, augmentation, batching, synthetic data."""
 import errno
+import importlib.util
 import math
 import os
 import re
@@ -33,9 +34,9 @@ from cct.data import (
     synthetic_dataset,
     write_records,
 )
-from cct.seeding import stream, stream_words
+from cct.seeding import stream
 from cct.tensor import ConfigError
-from oracles import ref_augment, ref_norm_stats, ref_normalize, ref_window
+from oracles import ref_norm_stats, ref_normalize, ref_window
 
 
 def _filled(*fills, fine=0):
@@ -511,36 +512,6 @@ def test_augment_output_is_a_window_of_reflect_pad():
         assert got.tobytes() == ref_window(img[0], oy, ox, flip).tobytes()
 
 
-def _stream_draws(seed, epoch, idxs):
-    """Each record's (oy, ox) and flip drawn through its own stream(), as
-    (offsets (N, 2), flip (N,))."""
-    offsets, flip = [], []
-    for i in idxs:
-        rng = stream("augment", seed, epoch, int(i))
-        offsets.append(rng.integers(0, 9, size=2))
-        flip.append(rng.random() < 0.5)
-    return np.array(offsets, dtype=np.int64).reshape(-1, 2), np.array(flip, dtype=bool)
-
-
-@pytest.mark.parametrize("epoch", [0, 2**40])
-@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
-def test_batch_draws_equal_the_per_record_streams(seed, epoch):
-    """The vectorized words give each record's stream draws over 50,000
-    indices, and the whole-batch draws equal them on every row."""
-    idxs = np.arange(50_000)
-    want_offsets, want_flip = _stream_draws(seed, epoch, idxs)
-    words = stream_words("augment", seed, epoch, last=idxs, count=2)
-    offsets, flip, exact = cct.data._draws_from_words(words)
-    assert exact.mean() > 0.999
-    assert np.array_equal(offsets[exact], want_offsets[exact])
-    assert np.array_equal(flip[exact], want_flip[exact])
-    got_offsets, got_flip = cct.data._augment_draws(seed, epoch, idxs)
-    assert np.array_equal(got_offsets, want_offsets) and np.array_equal(got_flip, want_flip)
-    for i in idxs[::997]:
-        assert np.array_equal(words[i],
-                              stream("augment", seed, epoch, int(i)).bit_generator.random_raw(2))
-
-
 class _CountingStream:
     """A stand-in for cct.data.stream that records each call's key."""
 
@@ -550,52 +521,6 @@ class _CountingStream:
     def __call__(self, name, *key):
         self.calls.append((name, *key))
         return stream(name, *key)
-
-
-def test_indices_from_2_32_take_the_scalar_path(monkeypatch):
-    counting = _CountingStream()
-    monkeypatch.setattr(cct.data, "stream", counting)
-    idxs = np.array([7, 2**32, 0, 2**32 + 5, 2**32 - 1, 2**40])
-    offsets, flip = cct.data._augment_draws(3, 1, idxs)
-    assert counting.calls == [("augment", 3, 1, i) for i in (2**32, 2**32 + 5, 2**40)]
-    want_offsets, want_flip = _stream_draws(3, 1, idxs)
-    assert np.array_equal(offsets, want_offsets) and np.array_equal(flip, want_flip)
-    with pytest.raises(ValueError, match="last key"):
-        stream_words("augment", 3, 1, last=[2**32], count=2)
-
-
-def _lemire_rejects(word):
-    """Whether the Generator's integers(0, 9) rejects the 32-bit word it
-    draws first: the word is put in PCG64's spare 32-bit buffer, and a
-    rejection draws a fresh 64-bit output, which moves the state."""
-    rng = stream("augment", 0, 0, 0)
-    state = rng.bit_generator.state
-    rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": word}
-    rng.integers(0, 9)
-    return rng.bit_generator.state["state"] != state["state"]
-
-
-def test_rejected_lemire_draws_are_flagged_and_drawn_through_stream(monkeypatch):
-    """Lemire rejects a 32-bit word w when w * 9 mod 2**32 < 4, as numpy's
-    Generator does; such a row is drawn through stream()."""
-    inv9 = pow(9, -1, 2**32)
-    low = [0, 3 * inv9 % 2**32, 4 * inv9 % 2**32, 123456789]
-    assert [_lemire_rejects(w) for w in low] == [True, True, False, False]
-    words = np.array([[w | 0x9E3779B9 << 32, 1 << 63] for w in low]
-                     + [[0x9E3779B9 | w << 32, 0] for w in low], dtype=np.uint64)
-    _, flip, exact = cct.data._draws_from_words(words)
-    assert exact.tolist() == [False, False, True, True] * 2
-    assert flip.tolist() == [False] * 4 + [True] * 4
-
-    counting = _CountingStream()
-    monkeypatch.setattr(cct.data, "stream", counting)
-    monkeypatch.setattr(cct.data, "stream_words", lambda *key, last, count: words[:len(last)])
-    idxs = np.arange(10, 18)
-    offsets, flip = cct.data._augment_draws(4, 2, idxs)
-    assert counting.calls == [("augment", 4, 2, int(i)) for i in idxs[[0, 1, 4, 5]]]
-    want_offsets, want_flip = _stream_draws(4, 2, idxs[[0, 1, 4, 5]])
-    assert np.array_equal(offsets[[0, 1, 4, 5]], want_offsets)
-    assert np.array_equal(flip[[0, 1, 4, 5]], want_flip)
 
 
 # ---------------------------------------------------------------------------
@@ -658,15 +583,23 @@ def _oracle_batches(raw, batch_size, seed, norm, augment_enabled, epoch, drawn=N
     record's (oy, ox, flip) is added to the set drawn."""
     n = len(raw) // RECORD_BYTES
     perm = stream("shuffle", seed, epoch).permutation(n)
+    if augment_enabled:
+        # one integers(0, 162) per record, in index order: v = 18 oy + 2 ox + flip
+        rng = stream("augment", seed, epoch)
+        draws = []
+        for _ in range(n):
+            oy, rest = divmod(int(rng.integers(0, 162)), 18)
+            ox, odd = divmod(rest, 2)
+            draws.append((oy, ox, odd == 1))
     for start in range(0, n, batch_size):
         imgs, labels = [], []
         for i in perm[start:start + batch_size]:
             rec = raw[i * RECORD_BYTES:(i + 1) * RECORD_BYTES]
             img = np.frombuffer(rec[2:], dtype=np.uint8).reshape(3, 32, 32)
             if augment_enabled:
-                img, draw = ref_augment(img, stream("augment", seed, epoch, int(i)))
+                img = ref_window(img, *draws[i])
                 if drawn is not None:
-                    drawn.add(draw)
+                    drawn.add(draws[i])
             imgs.append(img)
             labels.append(rec[1])
         yield ref_normalize(np.stack(imgs), norm), np.array(labels, dtype=np.int64)
@@ -719,13 +652,33 @@ def test_augmented_batches_match_the_oracle_on_random_pixels(batch_size):
     assert {flip for _, _, flip in drawn} == {False, True}
 
 
-def test_an_augmented_epoch_builds_only_the_shuffle_stream(monkeypatch):
+def test_an_augmented_epoch_builds_the_shuffle_and_one_augment_stream(monkeypatch):
     recs = _random_records(2048, seed=16)
     counting = _CountingStream()
     monkeypatch.setattr(cct.data, "stream", counting)
     batches = list(batch_iter(recs, 1024, 5, compute_norm_stats(recs), True, epoch=2))
     assert len(batches) == 2
-    assert counting.calls == [("shuffle", 5, 2)]
+    assert counting.calls == [("shuffle", 5, 2), ("augment", 5, 2)]
+
+
+def _images_by_record(recs, batch_size, seed, epoch):
+    """One augmented epoch's images, row i being record i's."""
+    images = np.concatenate([b.images.data for b in
+                             batch_iter(recs, batch_size, seed, _UNIT, True, epoch)])
+    out = np.empty_like(images)
+    out[stream("shuffle", seed, epoch).permutation(len(recs))] = images
+    return out
+
+
+@pytest.mark.parametrize("batch_size", [1, 64, 300])
+def test_a_records_crop_and_flip_depend_only_on_seed_epoch_and_index(batch_size):
+    """The first k records of a 300-record split are cropped and flipped as
+    the k records alone are, whatever the order and the batch size."""
+    recs = _random_records(300, seed=18)
+    whole = _images_by_record(recs, batch_size, 8, 3)
+    for k in (1, 7, 200):
+        assert _images_by_record(recs[:k], batch_size, 8, 3).tobytes() == whole[:k].tobytes()
+    assert whole.tobytes() != _images_by_record(recs, batch_size, 8, 4).tobytes()
 
 
 @pytest.mark.parametrize("augment_enabled", [False, True])
@@ -743,6 +696,17 @@ def test_pooled_batches_have_the_bytes_of_one_worker(monkeypatch, augment_enable
         for a, b in zip(pooled, inline):
             assert a.images.data.tobytes() == b.images.data.tobytes()
             assert np.array_equal(a.labels, b.labels)
+
+
+def test_the_fast_desk_hashes_are_pinned():
+    """scripts/desk_hashes.py's ingest and norm fingerprints: a change to the
+    augmented batch bytes or to the normalization stats changes them."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "desk_hashes.py"
+    spec = importlib.util.spec_from_file_location("desk_hashes", path)
+    desk_hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk_hashes)
+    assert desk_hashes.ingest_hash() == "34cc2f956bc0e2fa"
+    assert desk_hashes.norm_hash() == "4c4e917c40915fca"
 
 
 def test_augmentation_changes_some_pixels():

@@ -143,3 +143,20 @@ def test_drop_rows_from_keeps_earlier_rows_byte_exact(tmp_path):
 def test_drop_rows_from_missing_file_is_a_no_op(tmp_path):
     drop_rows_from(tmp_path / "absent.csv", 3)
     assert not (tmp_path / "absent.csv").exists()
+
+
+@pytest.mark.parametrize("tail", ["1", "\r\n", "9,9,val,2.5,10.0,30.0,0.01,"],
+                         ids=["cut_after_the_epoch", "blank_line", "cut_before_the_wall_time"])
+def test_drop_rows_from_drops_rows_that_are_not_whole(tmp_path, tail):
+    """A ten-epoch CSV whose last line a crash left torn, or blank, keeps
+    its whole rows of earlier epochs and loses the torn one."""
+    path = tmp_path / "m.csv"
+    with MetricsWriter(path) as w:
+        for epoch in range(10):
+            w.write(_row(epoch=epoch))
+    with open(path, "a", newline="") as f:
+        f.write(tail)
+    drop_rows_from(path, 10)
+    assert read_metrics(path) == [_row(epoch=epoch) for epoch in range(10)]
+    drop_rows_from(path, 3)
+    assert read_metrics(path) == [_row(epoch=epoch) for epoch in range(3)]
