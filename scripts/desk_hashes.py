@@ -17,6 +17,9 @@ mean and std bytes over the same 2,048 synthetic records, then over 2,048
 records of random pixels (numpy Generator seed 3) followed by one all-255
 and one all-0 record.
 
+Each hash is printed with `ok` or `differs` against EXPECTED, the values
+the current trajectory gives; the script exits 1 if any differs.
+
 Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest norm)
 """
 import hashlib
@@ -31,6 +34,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from cct.data import (RECORD, TEST_FILE, TRAIN_FILE, Records, batch_iter,  # noqa: E402
                       compute_norm_stats, synthetic_dataset, write_records)
 from cct.train import RunConfig, train  # noqa: E402
+
+EXPECTED = {"super": "4220e93647e2cb96", "sdpa": "820fccec300ef762",
+            "ingest": "34cc2f956bc0e2fa", "norm": "4c4e917c40915fca"}
 
 
 def desk_hash(attn_kind: str, work: str) -> str:
@@ -70,13 +76,18 @@ def norm_hash() -> str:
     return h.hexdigest()[:16]
 
 
-def main(names) -> None:
+def main(names) -> int:
+    """Prints each name's hash and whether it is EXPECTED's; 1 if any differs."""
     data_hashes = {"ingest": ingest_hash, "norm": norm_hash}
+    differs = False
     with tempfile.TemporaryDirectory() as work:
         for name in names:
-            print(name, data_hashes[name]() if name in data_hashes else desk_hash(name, work),
-                  flush=True)
+            got = data_hashes[name]() if name in data_hashes else desk_hash(name, work)
+            ok = got == EXPECTED[name]
+            differs |= not ok
+            print(name, got, "ok" if ok else "differs", flush=True)
+    return int(differs)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ["super", "sdpa", "ingest", "norm"])
+    sys.exit(main(sys.argv[1:] or list(EXPECTED)))

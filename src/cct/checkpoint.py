@@ -9,7 +9,7 @@ Layout (all integers little-endian):
                      model config, optimizer hyperparameters, seed, epoch and
                      optimizer step count (the last three JSON integers);
                      the two config objects carry exactly their class's
-                     fields, and none is null
+                     fields, none null and each int field a JSON integer
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name nlen bytes UTF-8
@@ -146,8 +146,13 @@ def _check_keys(path, what: str, values, names) -> None:
 
 
 def _config_from_header(path, cls, values):
-    """cls built from a header object that carries exactly its fields."""
+    """cls built from a header object that carries exactly its fields, each
+    int field a JSON integer."""
     _check_keys(path, f"header {cls.__name__}", values, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.type == "int" and type(values[f.name]) is not int:  # nor a bool
+            raise CheckpointError(f"{path}: header {cls.__name__} {f.name} is not "
+                                  f"an integer (got {values[f.name]!r})")
     try:
         return cls(**values)
     except (TypeError, ValueError) as e:  # ConfigError is a ValueError

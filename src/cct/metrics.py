@@ -109,8 +109,13 @@ def drop_rows_from(path, epoch: int) -> None:
 
 
 def read_metrics(path):
+    """Every row of a metrics CSV, blank lines skipped; a row that is not
+    whole raises ConfigError naming the file and the line."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(CSV_FIELDS):
-            raise ConfigError(f"{path}: unexpected CSV header {reader.fieldnames}")
-        return [_parse_row(r[k] for k in CSV_FIELDS) for r in reader]
+        reader = csv.reader(f)
+        if (header := next(reader, None)) != list(CSV_FIELDS):
+            raise ConfigError(f"{path}: unexpected CSV header {header}")
+        try:
+            return [_parse_row(r) for r in reader if r]
+        except ValueError as e:  # ConfigError is a ValueError
+            raise ConfigError(f"{path}:{reader.line_num}: not a whole row: {e}") from None

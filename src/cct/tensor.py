@@ -20,10 +20,11 @@ No rule keeps an array it can rebuild exactly. layernorm and gelu record a
 remake of their output from arrays their own rule holds (xhat * gamma + beta
 and x * Phi(x), the same numpy steps as the forward), and linear and matmul
 bind that remake in place of such an operand's array; so no layernorm or
-GELU output outlives its caller's Tensor. A sweep rebuilds such an output
-once, when its first reader needs it, and frees it when it reaches the
-producer's node. relu keeps a bool mask of its input and maxpool2d its
-argmax in the smallest unsigned type. no_grad records no remake.
+GELU output outlives its caller's Tensor. Each rule call that reads such an
+output rebuilds it for that call only, inside the span (first reader to
+producer) that one copy shared by all readers would live, so memory is no
+higher. relu keeps a bool mask of its input and maxpool2d its argmax in the
+smallest unsigned type. no_grad records no remake.
 
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
@@ -297,24 +298,10 @@ def _record(op: str, out_data: np.ndarray, parents, rule, remake=None) -> Tensor
 
 
 def _kept(t: Tensor):
-    """What a rule binds to read t's data: a function that returns the array
-    t holds now or, when t's op recorded a remake, t's output rebuilt once
-    per sweep (gradients keeps it until it reaches t's node)."""
-    remake = t._remake
-    if remake is None:
-        data = t.data
-        return lambda: data
-    key = t.node_id
-
-    def rebuilt():
-        remade = getattr(_local, "remade", None)
-        if remade is None:  # a rule called outside a sweep
-            return remake()
-        if key not in remade:
-            remade[key] = remake()
-        return remade[key]
-
-    return rebuilt
+    """What a rule binds to read t's data: t's remake, which rebuilds t's
+    output on each call, or else a function returning the array t holds now."""
+    data = t.data
+    return t._remake or (lambda: data)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -358,25 +345,17 @@ def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
     possibly as views of arrays a rule returned. It writes nothing into the
     graph, so sweeps may run at once and again on the same graph; only a
     chunks op's rule frees what it holds, and runs once (map_chunks).
-    Outputs that rules rebuild are kept per sweep, on the calling thread,
-    from their first reader to their producer's node, which comes after
-    every reader.
+    A rebuilt operand lives only for the rule call that reads it.
     """
     flow = {root.node_id: g}
-    outer, remade = getattr(_local, "remade", None), {}
-    _local.remade = remade
-    try:
-        for t in reversed(tape(root)):
-            remade.pop(t.node_id, None)
-            gt = flow.pop(t.node_id, None)
-            if gt is None:
-                continue
-            for p, pg in zip(t._parents, t._rule(gt)):
-                if pg is not None and p.requires_grad:
-                    pid = p.node_id
-                    flow[pid] = pg if pid not in flow else flow[pid] + pg
-    finally:
-        _local.remade = outer
+    for t in reversed(tape(root)):
+        gt = flow.pop(t.node_id, None)
+        if gt is None:
+            continue
+        for p, pg in zip(t._parents, t._rule(gt)):
+            if pg is not None and p.requires_grad:
+                pid = p.node_id
+                flow[pid] = pg if pid not in flow else flow[pid] + pg
     return [flow.get(t.node_id) for t in leaves]
 
 

@@ -110,9 +110,9 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` text, one setting per line, # comments."""
+    """Flat `key = value` text, one setting per line at most once, # comments."""
     fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    out = {}
+    out, line_of = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -124,6 +124,10 @@ def parse_config_file(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            if key in line_of:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is already set on "
+                                  f"line {line_of[key]}")
+            line_of[key] = lineno
             kind = fields[key]
             try:
                 if kind == "bool":

@@ -267,6 +267,20 @@ def test_rejects_top_level_count_that_is_not_an_integer(tmp_path, key, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["n_layers", "d_model", "seed"])
+@pytest.mark.parametrize("value", [2.0, True])
+def test_rejects_header_config_int_field_that_is_not_an_integer(tmp_path, key, value):
+    """n_layers 2.0 would fail in range() without naming the file, d_model
+    16.0 would load a float config that compares equal to the int one, and
+    a bool would load as 0 or 1."""
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["model"].update({key: value}))
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: header "
+                                              rf"ModelConfig {key} is not an integer"):
+        load_checkpoint(path)
+
+
 def test_rejects_header_config_that_fails_validation(tmp_path):
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)

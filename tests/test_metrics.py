@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ def test_read_rejects_foreign_header(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
+        read_metrics(path)
+
+
+@pytest.mark.parametrize("tail", ["1", "9,9,val,2.5,10.0,30.0,0.01,"],
+                         ids=["cut_after_the_epoch", "cut_before_the_wall_time"])
+def test_read_refuses_a_row_that_is_not_whole_by_path_and_line(tmp_path, tail):
+    path = tmp_path / "metrics.csv"
+    with MetricsWriter(path) as w:
+        w.write(_row(epoch=0))
+    with open(path, "a", newline="") as f:
+        f.write(tail)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: "):
         read_metrics(path)
 
 

@@ -1,6 +1,4 @@
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cct import tensor
 from cct.tensor import (
     AutodiffError,
     ConfigError,
@@ -529,91 +526,6 @@ def test_a_rule_wrapped_on_an_interior_output_runs_from_a_later_root():
     assert calls == [(3, 5)]
     gh = xent_grad_of(np.maximum(hd, 0), labels) * (hd > 0)
     npt.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-12)
-
-
-def _shared_layernorm_graph():
-    """A layernorm output read by two linears; (root, leaves, the linears)."""
-    rng = np.random.default_rng(0)
-    x, gamma, beta = (t64(rng.normal(size=s), True) for s in ((2, 3, 4), (4,), (4,)))
-    w1, w2 = t64(rng.normal(size=(4, 5)), True), t64(rng.normal(size=(4, 5)), True)
-    h = layernorm(x, gamma, beta)
-    a, b = linear(h, w1), linear(h, w2)
-    return a + b, (x, gamma, beta, w1, w2), (a, b)
-
-
-def _count_rebuilds(monkeypatch):
-    calls = []
-    real = tensor._affine
-    monkeypatch.setattr(tensor, "_affine",
-                        lambda *args: calls.append(threading.get_ident()) or real(*args))
-    return calls
-
-
-def _same_bytes(d1, d2):
-    return [d.tobytes() for d in d1] == [d.tobytes() for d in d2]
-
-
-def test_a_sweep_rebuilds_an_operand_with_two_readers_once(monkeypatch):
-    root, leaves, _ = _shared_layernorm_graph()
-    calls = _count_rebuilds(monkeypatch)
-    first = ones_seeded(root, leaves)
-    assert len(calls) == 1
-    assert _same_bytes(ones_seeded(root, leaves), first)
-    assert len(calls) == 2
-    assert getattr(tensor._local, "remade", None) is None
-
-
-def test_a_nested_sweep_of_the_same_graph_rebuilds_its_own_copy(monkeypatch):
-    """A sweep started inside a rule of the graph it sweeps keeps its own
-    rebuilds and leaves the outer sweep's in place."""
-    root, leaves, (a, _) = _shared_layernorm_graph()
-    want = ones_seeded(root, leaves)
-    calls = _count_rebuilds(monkeypatch)
-    rule, inner = a._rule, []
-
-    def nested(g):
-        a._rule = rule  # the nested sweep runs the plain rule
-        inner.append(ones_seeded(root, leaves))
-        return rule(g)
-
-    a._rule = nested
-    outer = ones_seeded(root, leaves)
-    assert len(calls) == 2
-    assert _same_bytes(inner[0], want) and _same_bytes(outer, want)
-
-
-def test_concurrent_sweeps_of_one_graph_each_rebuild_their_own_copy(monkeypatch):
-    """Sweep 1 reads the shared operand only after sweep 0 has rebuilt it,
-    while sweep 0 still holds its copy: sweep 1 still rebuilds its own."""
-    root, leaves, (a, b) = _shared_layernorm_graph()
-    want = ones_seeded(root, leaves)
-    calls = _count_rebuilds(monkeypatch)
-    turn, state = [threading.Event(), threading.Event()], threading.local()
-
-    def in_turn(rule):
-        def run(g):
-            if getattr(state, "done", True):
-                return rule(g)
-            state.done = True
-            if state.i == 1:
-                turn[0].wait(10)
-            out = rule(g)
-            turn[state.i].set()
-            if state.i == 0:
-                turn[1].wait(10)
-            return out
-        return run
-
-    a._rule, b._rule = in_turn(a._rule), in_turn(b._rule)
-
-    def sweep(i):
-        state.i, state.done = i, False
-        return ones_seeded(root, leaves)
-
-    with ThreadPoolExecutor(2) as pool:
-        results = list(pool.map(sweep, range(2)))
-    assert len(calls) == len(set(calls)) == 2  # one rebuild on each thread
-    assert all(_same_bytes(r, want) for r in results)
 
 
 def test_no_grad_blocks_recording():

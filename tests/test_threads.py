@@ -331,10 +331,10 @@ def test_backward_frees_every_chunk_graph_while_the_loss_is_held(monkeypatch):
     assert loss.requires_grad and all(np.isfinite(t.grad).all() for t in params.tensors())
 
 
-def test_a_sweep_frees_each_rebuilt_output_at_its_producer(monkeypatch):
-    """A sweep rebuilds a layernorm or GELU output for its first reader and
-    frees it at the producer's node, so no earlier rebuild is alive when the
-    next one runs."""
+def test_each_read_rebuilds_its_operand_and_frees_it_when_the_rule_returns(monkeypatch):
+    """Each rule that reads a layernorm or GELU output rebuilds it and drops
+    it when it returns, so no earlier rebuild is alive when the next one
+    runs."""
     rebuilt, alive_at_each_rebuild = [], []
     real_record = tensor._record
 
@@ -354,8 +354,8 @@ def test_a_sweep_frees_each_rebuilt_output_at_its_producer(monkeypatch):
     batch = _batch(tensor.CHUNK)
     tensor.backward(tensor.cross_entropy(
         forward(batch.images, params, cfg, training=True, dropout_seed=2), batch.labels))
-    # two layernorms and a GELU per layer, and the final layernorm
-    assert alive_at_each_rebuild == [0] * (3 * cfg.n_layers + 1)
+    # per layer: ln1's three readers, ln2's and the GELU's one; final_ln's two
+    assert alive_at_each_rebuild == [0] * (5 * cfg.n_layers + 2)
 
 
 class _Calls:
@@ -488,27 +488,29 @@ def test_a_layernorm_output_is_freed_when_its_caller_drops_it(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["super", "sdpa"])
 def test_a_desk_chunk_sweep_rebuilds_each_layernorm_output_once(monkeypatch, kind):
-    """ln1's output has three readers per layer and final_ln's two (26
-    reads in all); one sweep rebuilds each layernorm output once, 13 in all,
-    and gives the gradients of a graph that keeps every operand's array."""
+    """One chunk's train_step rebuilds a layernorm output once per read:
+    ln1's output has three readers per layer and final_ln's two, 26 reads in
+    all. Its gradients are those of a graph that binds every operand's array."""
     cfg = ModelConfig(attn_kind=kind)
     params = init_params(cfg, 0)
     batch = _batch(tensor.CHUNK)
+    rebuilds = []
+    real_record = tensor._record
+
+    def record(op, out_data, parents, rule, remake=None):
+        if op == "layernorm" and remake is not None:
+            remake = lambda remake=remake: rebuilds.append(op) or remake()
+        return real_record(op, out_data, parents, rule, remake)
+
+    monkeypatch.setattr(tensor, "_record", record)
 
     def grads():
-        loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
-                                    batch.labels)
-        params.zero_grad()
-        calls = []
-        real = tensor._affine
-        monkeypatch.setattr(tensor, "_affine",
-                            lambda *args: calls.append(1) or real(*args))
-        tensor.backward(loss)
-        monkeypatch.setattr(tensor, "_affine", real)
-        return len(calls), [t.grad.tobytes() for t in params.tensors()]
+        rebuilds.clear()
+        _, _, got = train_step(params, cfg, batch, 0)
+        return len(rebuilds), [g.tobytes() for g in got.values()]
 
-    rebuilds, got = grads()
-    assert rebuilds == 2 * cfg.n_layers + 1
+    count, got = grads()
+    assert count == 4 * cfg.n_layers + 2
     monkeypatch.setattr(tensor, "_kept", lambda t: (lambda d=t.data: d))
     assert grads() == (0, got)
 

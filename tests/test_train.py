@@ -78,6 +78,13 @@ def test_config_rejects_bad_value(tmp_path):
         parse_config_file(path)
 
 
+def test_config_rejects_a_setting_given_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0.1\n# the same key again\nlr = 0.2\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: 'lr' is already set on line 1"):
+        parse_config_file(path)
+
+
 def test_config_rejects_missing_equals(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("d_model 12\n")
