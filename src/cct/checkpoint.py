@@ -103,7 +103,8 @@ def replacing(path, mode="wb", **open_kwargs):
     """Open a temporary file beside `path` and move it over `path` with
     os.replace when the block ends; if the block or the move raises, remove
     it instead. `path` so holds either its previous contents or the whole
-    new file."""
+    new file. Every file cct writes goes through here: checkpoints, record
+    files, the norm-stats cache and each row of the metrics CSV."""
     tmp = os.fspath(path) + ".tmp"
     held = None
     try:

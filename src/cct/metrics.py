@@ -1,4 +1,4 @@
-"""Accuracy metrics and the append-only metrics CSV."""
+"""Accuracy metrics and the metrics CSV, written whole through `replacing`."""
 from __future__ import annotations
 
 import csv
@@ -53,34 +53,6 @@ def topk_accuracy(logits, labels, k: int) -> float:
     return float((topk == labels[:, None]).any(axis=1).mean()) * 100.0
 
 
-class MetricsWriter:
-    """Append-only CSV writer; header is written once, every row is flushed
-    so partial runs stay readable."""
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        fresh = not (os.path.exists(self.path) and os.path.getsize(self.path) > 0)
-        self._f = open(self.path, "a", newline="")
-        self._w = csv.writer(self._f)
-        if fresh:
-            self._w.writerow(CSV_FIELDS)
-            self._f.flush()
-
-    def write(self, row: MetricsRow) -> None:
-        d = asdict(row)
-        self._w.writerow([d[k] for k in CSV_FIELDS])
-        self._f.flush()
-
-    def close(self) -> None:
-        self._f.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def _parse_row(values) -> MetricsRow:
     """A MetricsRow from one CSV row's strings in CSV_FIELDS order; a row of
     another length or with a value that does not parse raises ValueError."""
@@ -89,15 +61,35 @@ def _parse_row(values) -> MetricsRow:
                       float(top5), float(lr), float(wall_time_s))
 
 
+def append_row(path, row: MetricsRow) -> None:
+    """Add `row` to the metrics CSV at `path`, after the header if the file
+    is missing or empty. The old text is copied verbatim and the file is
+    replaced whole, so a write that fails part way leaves it as it was."""
+    try:
+        with open(path, newline="") as f:
+            text = f.read()
+    except FileNotFoundError:
+        text = ""
+    d = asdict(row)
+    with replacing(path, "w", newline="") as f:
+        w = csv.writer(f)
+        if text:
+            f.write(text)
+        else:
+            w.writerow(CSV_FIELDS)
+        w.writerow([d[k] for k in CSV_FIELDS])
+
+
 def drop_rows_from(path, epoch: int) -> None:
-    """Drop the rows of `epoch` and later, for a run that resumes at `epoch`,
-    and every row that is not whole (a line a crash cut short, a blank
-    line): the resumed epochs write their rows again."""
+    """Rewrite the CSV as the header and the whole rows of the epochs before
+    `epoch`: a run that starts at `epoch` writes the later rows again, and a
+    fresh run (`epoch` 0) starts the CSV over. A row that is not whole (a
+    line a crash cut short, a blank line) is dropped too."""
     if not os.path.exists(path):
         return
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    kept = rows[:1]
+    kept = [CSV_FIELDS]
     for r in rows[1:]:
         try:
             if _parse_row(r).epoch < epoch:

@@ -22,7 +22,7 @@ from .data import (
     load_cifar100,
     synthetic_dataset,
 )
-from .metrics import MetricsRow, MetricsWriter, drop_rows_from, topk_accuracy
+from .metrics import MetricsRow, append_row, drop_rows_from, topk_accuracy
 from .model import (ModelConfig, chunk_work, forward, forward_tokens,
                     init_params, tokenize)
 from .optim import AdamWHyperParams, adamw_step, init_adamw_state
@@ -175,7 +175,8 @@ def evaluate_params(params, cfg: ModelConfig, records, norm,
 
 def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
     """Full training loop: per-epoch train/val metrics rows, checkpoints
-    every `checkpoint_every` epochs plus a final one."""
+    every `checkpoint_every` epochs plus a final one. A fresh run starts
+    `metrics.csv` over; a resumed one keeps the rows of its earlier epochs."""
     say = log or (lambda msg: None)
     metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
     final_path = os.path.join(os.fspath(out_dir), "checkpoint_final.bin")
@@ -210,56 +211,54 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
     norm = cached_norm_stats(
         train_records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
 
-    if resume_from is not None:
-        drop_rows_from(metrics_path, start_epoch)
+    drop_rows_from(metrics_path, start_epoch)
     os.makedirs(out_dir, exist_ok=True)
 
     steps_per_epoch = (len(train_records) + run.batch_size - 1) // run.batch_size
     step = start_epoch * steps_per_epoch
 
-    with MetricsWriter(metrics_path) as writer:
-        for epoch in range(start_epoch, run.epochs):
-            t0 = time.perf_counter()
-            total, loss_sum, top1_sum, top5_sum = 0, 0.0, 0.0, 0.0
-            for batch in batch_iter(train_records, run.batch_size, run.seed,
-                                    norm, run.augment, epoch=epoch):
-                loss, logits, grads = train_step(params, cfg, batch, step)
-                # before the update, so params, state and checkpoints stay as they were
-                try:
-                    _check_finite(loss, grads, epoch, step)
-                except NonFiniteError:
-                    save_checkpoint(nonfinite_path, cfg, params, run.seed, epoch, hp, state)
-                    raise
-                adamw_step(params, grads, state, hp)
-                step += 1
-                b = len(batch.labels)
-                loss_sum += loss * b
-                t1, t5 = _batch_metrics(logits, batch.labels, cfg.n_classes)
-                del logits, grads  # hold nothing of this step while the next one runs
-                top1_sum += t1 * b
-                top5_sum += t5 * b
-                total += b
-            train_time = time.perf_counter() - t0
-            writer.write(MetricsRow(
-                epoch=epoch, step=step, split="train", loss=loss_sum / total,
-                top1=top1_sum / total, top5=top5_sum / total, lr=hp.lr,
-                wall_time_s=train_time))
+    for epoch in range(start_epoch, run.epochs):
+        t0 = time.perf_counter()
+        total, loss_sum, top1_sum, top5_sum = 0, 0.0, 0.0, 0.0
+        for batch in batch_iter(train_records, run.batch_size, run.seed,
+                                norm, run.augment, epoch=epoch):
+            loss, logits, grads = train_step(params, cfg, batch, step)
+            # before the update, so params, state and checkpoints stay as they were
+            try:
+                _check_finite(loss, grads, epoch, step)
+            except NonFiniteError:
+                save_checkpoint(nonfinite_path, cfg, params, run.seed, epoch, hp, state)
+                raise
+            adamw_step(params, grads, state, hp)
+            step += 1
+            b = len(batch.labels)
+            loss_sum += loss * b
+            t1, t5 = _batch_metrics(logits, batch.labels, cfg.n_classes)
+            del logits, grads  # hold nothing of this step while the next one runs
+            top1_sum += t1 * b
+            top5_sum += t5 * b
+            total += b
+        train_time = time.perf_counter() - t0
+        append_row(metrics_path, MetricsRow(
+            epoch=epoch, step=step, split="train", loss=loss_sum / total,
+            top1=top1_sum / total, top5=top5_sum / total, lr=hp.lr,
+            wall_time_s=train_time))
 
-            t0 = time.perf_counter()
-            val = evaluate_params(params, cfg, val_records, norm,
-                                  run.eval_batch_size)
-            writer.write(MetricsRow(
-                epoch=epoch, step=step, split="val", loss=val["loss"],
-                top1=val["top1"], top5=val["top5"], lr=hp.lr,
-                wall_time_s=time.perf_counter() - t0))
-            say(f"epoch {epoch}: train loss {loss_sum / total:.4f}, "
-                f"val top1 {val['top1']:.2f}%")
+        t0 = time.perf_counter()
+        val = evaluate_params(params, cfg, val_records, norm,
+                              run.eval_batch_size)
+        append_row(metrics_path, MetricsRow(
+            epoch=epoch, step=step, split="val", loss=val["loss"],
+            top1=val["top1"], top5=val["top5"], lr=hp.lr,
+            wall_time_s=time.perf_counter() - t0))
+        say(f"epoch {epoch}: train loss {loss_sum / total:.4f}, "
+            f"val top1 {val['top1']:.2f}%")
 
-            done = epoch + 1
-            if done % run.checkpoint_every == 0 and done != run.epochs:
-                path = os.path.join(os.fspath(out_dir), f"checkpoint_epoch{done}.bin")
-                save_checkpoint(path, cfg, params, run.seed, done, hp, state)
-        save_checkpoint(final_path, cfg, params, run.seed, run.epochs, hp, state)
+        done = epoch + 1
+        if done % run.checkpoint_every == 0 and done != run.epochs:
+            path = os.path.join(os.fspath(out_dir), f"checkpoint_epoch{done}.bin")
+            save_checkpoint(path, cfg, params, run.seed, done, hp, state)
+    save_checkpoint(final_path, cfg, params, run.seed, run.epochs, hp, state)
     return {"checkpoint": final_path, "metrics": metrics_path,
             "val": val, "epochs": run.epochs}
 

@@ -6,7 +6,7 @@ import pytest
 from cct.metrics import (
     CSV_FIELDS,
     MetricsRow,
-    MetricsWriter,
+    append_row,
     drop_rows_from,
     read_metrics,
     topk_accuracy,
@@ -89,33 +89,25 @@ def test_row_rejects_inconsistent_accuracies():
 
 def test_writer_roundtrip(tmp_path):
     path = tmp_path / "metrics.csv"
-    with MetricsWriter(path) as w:
-        w.write(_row(epoch=0, split="train"))
-        w.write(_row(epoch=0, split="val", loss=3.0))
+    append_row(path, _row(epoch=0, split="train"))
+    append_row(path, _row(epoch=0, split="val", loss=3.0))
     rows = read_metrics(path)
     assert rows == [_row(epoch=0, split="train"),
                     _row(epoch=0, split="val", loss=3.0)]
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_FIELDS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
 
 
 def test_writer_appends_without_duplicate_header(tmp_path):
     path = tmp_path / "metrics.csv"
-    with MetricsWriter(path) as w:
-        w.write(_row(epoch=0))
-    with MetricsWriter(path) as w:
-        w.write(_row(epoch=1))
-    text = path.read_text()
-    assert text.count("epoch,step") == 1
+    path.touch()  # an empty file gets the header too
+    append_row(path, _row(epoch=0))
+    before = path.read_bytes()
+    append_row(path, _row(epoch=1))
+    assert path.read_bytes().startswith(before)  # the old text, verbatim
+    assert path.read_text().count("epoch,step") == 1
     assert [r.epoch for r in read_metrics(path)] == [0, 1]
-
-
-def test_rows_visible_before_close(tmp_path):
-    path = tmp_path / "metrics.csv"
-    w = MetricsWriter(path)
-    w.write(_row(epoch=0))
-    assert len(read_metrics(path)) == 1  # flushed per row
-    w.close()
 
 
 def test_read_rejects_foreign_header(tmp_path):
@@ -129,8 +121,7 @@ def test_read_rejects_foreign_header(tmp_path):
                          ids=["cut_after_the_epoch", "cut_before_the_wall_time"])
 def test_read_refuses_a_row_that_is_not_whole_by_path_and_line(tmp_path, tail):
     path = tmp_path / "metrics.csv"
-    with MetricsWriter(path) as w:
-        w.write(_row(epoch=0))
+    append_row(path, _row(epoch=0))
     with open(path, "a", newline="") as f:
         f.write(tail)
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: "):
@@ -139,19 +130,24 @@ def test_read_refuses_a_row_that_is_not_whole_by_path_and_line(tmp_path, tail):
 
 def test_drop_rows_from_keeps_earlier_rows_byte_exact(tmp_path):
     path = tmp_path / "m.csv"
-    with MetricsWriter(path) as w:
-        for epoch in range(2):
-            w.write(_row(epoch=epoch, step=epoch + 1, loss=0.1 * (epoch + 1)))
+    for epoch in range(2):
+        append_row(path, _row(epoch=epoch, step=epoch + 1, loss=0.1 * (epoch + 1)))
     prefix = path.read_bytes()
-    with MetricsWriter(path) as w:
-        for epoch in range(2, 4):
-            w.write(_row(epoch=epoch, split="train"))
-            w.write(_row(epoch=epoch, split="val"))
+    for epoch in range(2, 4):
+        append_row(path, _row(epoch=epoch, split="train"))
+        append_row(path, _row(epoch=epoch, split="val"))
     drop_rows_from(path, 2)
     assert path.read_bytes() == prefix
     drop_rows_from(path, 0)
     assert read_metrics(path) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
+def test_drop_rows_from_epoch_zero_starts_over_with_the_header(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b,c\n1,2,3\n")  # another file of the same name
+    drop_rows_from(path, 0)
+    assert path.read_bytes() == ",".join(CSV_FIELDS).encode() + b"\r\n"
 
 
 def test_drop_rows_from_missing_file_is_a_no_op(tmp_path):
@@ -165,9 +161,8 @@ def test_drop_rows_from_drops_rows_that_are_not_whole(tmp_path, tail):
     """A ten-epoch CSV whose last line a crash left torn, or blank, keeps
     its whole rows of earlier epochs and loses the torn one."""
     path = tmp_path / "m.csv"
-    with MetricsWriter(path) as w:
-        for epoch in range(10):
-            w.write(_row(epoch=epoch))
+    for epoch in range(10):
+        append_row(path, _row(epoch=epoch))
     with open(path, "a", newline="") as f:
         f.write(tail)
     drop_rows_from(path, 10)

@@ -18,6 +18,7 @@ import time
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -529,6 +530,42 @@ def test_float64_gradients_through_forward_match_central_differences(monkeypatch
                      [images, *params.tensors()], tol=1e-5)
     assert res.ok, res.max_rel_err
     assert len(res.per_input) == 1 + len(params)
+
+
+def test_float64_train_step_gradients_match_central_differences(monkeypatch):
+    """The same model and batch through train_step, the path every run takes:
+    its parameter gradients against central differences of the mean
+    cross-entropy of a no-grad forward with the same dropout."""
+    _on_pool(monkeypatch)
+    cfg = ModelConfig(img_size=4, d_model=4, n_layers=1, n_heads=2, mlp_ratio=1,
+                      n_classes=5, dropout_p=0.1, seed=2)
+    params = init_params(cfg, 2, dtype=np.float64)
+    rng = np.random.default_rng(4)
+    images = tensor.Tensor(rng.normal(size=(6, 3, 4, 4)), dtype=np.float64)
+    labels = rng.integers(0, cfg.n_classes, 6)
+    step, h = 3, 1e-5
+    _, _, grads = train_step(params, cfg, SimpleNamespace(images=images, labels=labels), step)
+
+    def loss():
+        with tensor.no_grad():
+            logits = forward(images, params, cfg, training=True, dropout_seed=step)
+            return float(tensor.cross_entropy(logits, labels).data)
+
+    worst = 0.0
+    for name, t in params.items():
+        flat, num = t.data.ravel(), np.zeros(t.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss()
+            flat[i] = orig - h
+            num[i] = (up - loss()) / (2 * h)
+            flat[i] = orig
+        a = grads[name].ravel()
+        assert grads[name].dtype == np.float64, name
+        err = np.abs(a - num) / np.maximum(np.maximum(np.abs(a), np.abs(num)), 1.0)
+        worst = max(worst, float(err.max()))
+    assert worst < 1e-5, worst
 
 
 def test_pool_size_follows_affinity_once_openblas_is_pinned():

@@ -1,4 +1,6 @@
 """Training driver, config files, resume, evaluation, overfit probe."""
+import builtins
+import csv
 import dataclasses
 import importlib.util
 import os
@@ -19,6 +21,7 @@ from cct.data import (
 )
 from cct.metrics import read_metrics
 from cct.model import init_params, model_param_count
+import cct.metrics
 import cct.train
 from cct.tensor import ConfigError
 from cct.train import (
@@ -420,6 +423,70 @@ def test_resume_over_later_rows_keeps_one_pair_per_epoch(data_dir, tmp_path):
         [(e, s) for e in range(4) for s in ("train", "val")]
     assert [dataclasses.replace(r, wall_time_s=0.0) for r in rows] == \
         [dataclasses.replace(r, wall_time_s=0.0) for r in read_metrics(full["metrics"])]
+
+
+def test_a_fresh_run_into_a_used_out_dir_starts_the_csv_over(data_dir, tmp_path):
+    run = RunConfig(**{**TINY, "epochs": 2})
+    once = train(run, data_dir, tmp_path / "once")
+    out = tmp_path / "twice"
+    train(run, data_dir, out)
+    twice = train(run, data_dir, out)
+    assert [dataclasses.replace(r, wall_time_s=0.0) for r in read_metrics(twice["metrics"])] == \
+        [dataclasses.replace(r, wall_time_s=0.0) for r in read_metrics(once["metrics"])]
+
+
+def test_a_row_write_that_raises_part_way_leaves_metrics_csv_as_it_was(
+        data_dir, tmp_path, monkeypatch):
+    """The epoch-0 val row writes half its text, then raises: the CSV holds
+    exactly what it held before that write, and no temporary file is left."""
+    out = tmp_path / "out"
+    path = out / "metrics.csv"
+    real_writer, before = csv.writer, []
+
+    class TornWriter:
+        def __init__(self, f):
+            self.f, self.w = f, real_writer(f)
+
+        def writerow(self, values):
+            if values[2] == "val":
+                before.append(path.read_bytes())
+                self.f.write(",".join(map(str, values))[:20])
+                raise OSError("no space left")
+            self.w.writerow(values)
+
+    monkeypatch.setattr(cct.metrics.csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="no space left"):
+        train(RunConfig(**TINY), data_dir, out)
+    assert path.read_bytes() == before[0]
+    assert [r.split for r in read_metrics(path)] == ["train"]
+    assert not (out / "metrics.csv.tmp").exists()
+
+
+def test_every_file_a_run_writes_is_opened_as_a_temporary(data_dir, tmp_path, monkeypatch):
+    """Each file train() opens for writing or appending, with open or
+    os.open, is a `.tmp` that replacing renames over its target."""
+    written = []
+    real_open, real_os_open = builtins.open, os.open
+    write_flags = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+"):
+            written.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if flags & write_flags:
+            written.append(os.fspath(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(os, "open", spy_os_open)
+    out = tmp_path / "out"
+    train(RunConfig(**{**TINY, "epochs": 2, "checkpoint_every": 1}), data_dir, out)
+    monkeypatch.undo()
+    assert [p for p in written if not p.endswith(".tmp")] == []
+    assert {"metrics.csv.tmp", "checkpoint_epoch1.bin.tmp",
+            "checkpoint_final.bin.tmp"} <= {os.path.basename(p) for p in written}
 
 
 def test_missing_dataset_raises(tmp_path):
