@@ -11,8 +11,16 @@ import sys
 
 from .attention import KINDS
 from .bench import bench_attention, crossover_warnings, param_report, write_bench_csv
+from .checkpoint import CheckpointError
+from .data import DataError
 from .gradcheck import run_suite
+from .tensor import ConfigError
 from .train import evaluate, load_run_config, overfit, train
+
+# A refused setting, data file, checkpoint or missing input file ends the
+# command with one line that names it; an error from inside a run (a
+# non-finite step, an interrupt) keeps its traceback.
+_REFUSALS = (ConfigError, DataError, CheckpointError, FileNotFoundError)
 
 
 def _data_dir(args) -> str:
@@ -132,7 +140,10 @@ _COMMANDS = {"train": _cmd_train, "eval": _cmd_eval, "params": _cmd_params,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _REFUSALS as e:
+        raise SystemExit(f"cct {args.command}: {e}") from None
 
 
 if __name__ == "__main__":

@@ -196,21 +196,14 @@ def compute_norm_stats(records) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def normalize(images, norm: NormStats, out=None):
-    """(x/255 - mean) / std over (..., 3, 32, 32); uint8 in, float32 out
-    (float inputs keep their dtype). Works in place on one copy of images:
-    out, when given, an array of that dtype and shape."""
-    x = np.asarray(images)
-    dtype = np.float32 if x.dtype == np.uint8 else np.result_type(x.dtype, 255.0)
-    if out is None:
-        out = x.astype(dtype)
-    else:
-        out[...] = x
+def normalize(images, norm: NormStats, out) -> None:
+    """Write (x/255 - mean) / std of uint8 images (..., 3, 32, 32) into out,
+    a float32 array of their shape, in place on out."""
+    out[...] = images
     shape = (3, 1, 1)
     out /= 255.0
-    out -= norm.mean.reshape(shape).astype(dtype)
-    out /= norm.std.reshape(shape).astype(dtype)
-    return out
+    out -= norm.mean.reshape(shape).astype(np.float32)
+    out /= norm.std.reshape(shape).astype(np.float32)
 
 
 def _split_key(records) -> tuple:
@@ -329,7 +322,7 @@ def batch_iter(records, batch_size: int, shuffle_seed: int, norm: NormStats,
             x = pixels[span].reshape(-1, *IMG_SHAPE)
             if augment_enabled:
                 x = crop_flip(x, offsets[span], flip[span])
-            normalize(x, norm, out=images[rows])
+            normalize(x, norm, images[rows])
 
         run_chunks(build, -(-len(idxs) // _BATCH_SPAN), _BATCH_SPAN * pixels.shape[1])
         yield Batch(images=Tensor(images), labels=fine[idxs].astype(np.int64))

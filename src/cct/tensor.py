@@ -20,11 +20,10 @@ No rule keeps an array it can rebuild exactly. layernorm and gelu record a
 remake of their output from arrays their own rule holds (xhat * gamma + beta
 and x * Phi(x), the same numpy steps as the forward), and linear and matmul
 bind that remake in place of such an operand's array; so no layernorm or
-GELU output outlives its caller's Tensor. Each rule call that reads such an
-output rebuilds it for that call only, inside the span (first reader to
-producer) that one copy shared by all readers would live, so memory is no
-higher. relu keeps a bool mask of its input and maxpool2d its argmax in the
-smallest unsigned type. no_grad records no remake.
+GELU output outlives its caller's Tensor, and each rule call that reads one
+rebuilds it for that call only. relu keeps a bool mask of its input and
+maxpool2d its argmax in the smallest unsigned type. no_grad records no
+remake.
 
 Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
@@ -583,13 +582,11 @@ def gelu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
-    """Softmax over the last axis of scale * x, max-shifted for stability."""
-    # shift, exp and normalise in place on one buffer
-    if scale != 1.0:
-        s = x.data * scale
-        s -= s.max(axis=-1, keepdims=True)
-    else:
-        s = x.data - x.data.max(axis=-1, keepdims=True)
+    """Softmax over the last axis of scale * x, max-shifted for stability.
+    A scale of 1 runs the same steps: x * 1.0 is x."""
+    # scale, shift, exp and normalise in place on one buffer
+    s = x.data * scale
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
@@ -599,8 +596,7 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
         dot = dz.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=dz)
         np.multiply(s, dz, out=dz)
-        if scale != 1.0:
-            dz *= scale
+        dz *= scale
         return (dz,)
 
     return _record("softmax_rows", s, (x,), rule)
@@ -678,7 +674,9 @@ def _out_dim(size: int, k: int, stride: int, pad: int, op: str) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation, NCHW layout, square kernel, zero padding."""
+    """Cross-correlation, NCHW layout, square kernel, zero padding. The
+    input is always padded and its gradient always cropped; for pad 0 that
+    is a copy."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d x and w, got {x.shape} and {w.shape}")
     bsz, cin, h, wdt = x.shape
@@ -695,7 +693,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     ho = _out_dim(h, k, stride, pad, "conv2d")
     wo = _out_dim(wdt, k, stride, pad, "conv2d")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     cols = _im2col(xp, k, stride, ho, wo)        # (B, ho*wo, cin*k*k)
     wmat = w.data.reshape(cout, -1)
     out = cols @ wmat.T + b.data                 # (B, ho*wo, cout)
@@ -712,15 +710,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             return None, dw, db
         dcols = gf @ wmat                                       # (B, P, cin*k*k)
         dxp = _col2im(dcols, (bsz, cin, h + 2 * pad, wdt + 2 * pad), k, stride, ho, wo)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-        return np.ascontiguousarray(dx), dw, db
+        return np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wdt]), dw, db
 
     return _record("conv2d", out, (x, w, b), rule)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
-    """Max pooling with -inf padding; ties go to the first window element
-    (a tie of -0.0 with +0.0 may yield either zero as the value)."""
+    """Max pooling with -inf padding (always padded, as conv2d is); ties go
+    to the first window element (a tie of -0.0 with +0.0 may yield either
+    zero as the value)."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.shape}")
     if k < 1 or stride < 1 or pad < 0:
@@ -735,8 +733,7 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
     wo = (wdt + 2 * pad - k) // stride + 1
     hp, wp = h + 2 * pad, wdt + 2 * pad
 
-    xp = (np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                 constant_values=-np.inf) if pad else x.data)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
     windows = [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
                for i in range(k) for j in range(k)]
     best = np.full((bsz, c, ho, wo), -np.inf, dtype=x.dtype)
@@ -764,8 +761,7 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
         # bincount sums in float64; only the cropped pixels are cast back
         dxp = np.bincount(flat.ravel(), weights=g.ravel(),
                           minlength=bsz * c * hp * wp).reshape(bsz, c, hp, wp)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-        return (np.ascontiguousarray(dx, dtype=g.dtype),)
+        return (np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wdt], dtype=g.dtype),)
 
     return _record("maxpool2d", best, (x,), rule)
 

@@ -1,12 +1,17 @@
 """Slow reference implementations used as independent oracles in tests.
 
 Everything here is deliberately naive (explicit loops, no shared code with
-the package) so that agreement with the fast kernels is meaningful.
+the package) so that agreement with the fast kernels is meaningful. The one
+exception, ref_train_step, builds a train step from the package's plain
+per-chunk graphs, so that it shares no code with train_step's chunk pool.
 """
 
 import math
 
 import numpy as np
+
+from cct.model import forward_tokens, tokenize
+from cct.tensor import CHUNK, Tensor, cross_entropy, gradients, no_grad
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -314,12 +319,10 @@ def ref_window(image, oy, ox, flip):
 
 def ref_normalize(images, norm):
     """(x / 255 - mean) / std as one expression; uint8 in, float32 out."""
-    x = np.asarray(images)
-    dtype = np.float32 if x.dtype == np.uint8 else x.dtype
-    x = x.astype(dtype)
+    x = np.asarray(images).astype(np.float32)
     shape = (3, 1, 1)
-    return (x / 255.0 - norm.mean.reshape(shape).astype(dtype)) \
-        / norm.std.reshape(shape).astype(dtype)
+    return (x / 255.0 - norm.mean.reshape(shape).astype(np.float32)) \
+        / norm.std.reshape(shape).astype(np.float32)
 
 
 def ref_norm_stats(pixels, block=128):
@@ -341,3 +344,29 @@ def ref_norm_stats(pixels, block=128):
     mean = np.array(mean) / 255.0
     std = np.array(std) / 255.0
     return mean, np.where(std < 1e-8, 1.0, std)
+
+
+def ref_train_step(params, cfg, batch, step):
+    """(loss, logits, {name: gradient}) of one train step from one plain
+    graph per CHUNK rows, built and swept on the calling thread: chunk c's
+    forward_tokens(tokenize(...)) with dropout keyed by (step, c), the sweep
+    of its rows' cross_entropy seeded with n_c / B, and the chunks' gradients
+    summed in chunk order. The seed is that chunk's share of the batch mean:
+    cross_entropy divides it by n_c, which is exact when n_c is a power of
+    two, as are chunks of 4, 4 and 2."""
+    images, labels = batch.images.data, batch.labels
+    n = len(images)
+    leaves = params.tensors()
+    logits, sums = [], None
+    for c, lo in enumerate(range(0, n, CHUNK)):
+        rows = slice(lo, lo + CHUNK)
+        z = forward_tokens(tokenize(Tensor(images[rows]), params, cfg), params, cfg,
+                           training=True, dropout_seed=step, chunk=c)
+        seed = np.full((), len(z.data), z.data.dtype) / n
+        grads = gradients(cross_entropy(z, labels[rows]), seed, leaves)
+        sums = grads if sums is None else [a + g for a, g in zip(sums, grads)]
+        logits.append(z.data)
+    logits = np.concatenate(logits)
+    with no_grad():
+        loss = cross_entropy(Tensor(logits), labels).item()
+    return loss, logits, dict(zip(params.names(), sums))

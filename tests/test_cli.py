@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cct.tensor
+import cct.train
 from cct.cli import build_parser, main
 from cct.data import synthetic_dataset, write_records
 from cct.metrics import read_metrics
@@ -59,6 +60,71 @@ def test_missing_data_dir_is_an_error(tiny_cfg, tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="CCT_DATA_DIR"):
         main(["train", "--config", str(tiny_cfg),
               "--out-dir", str(tmp_path / "o"), "--seed", "0"])
+
+
+def _refusal(argv) -> str:
+    """The one line a refused command ends with."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    return exc.value.code
+
+
+def test_a_missing_config_file_is_one_line_naming_it(data_dir, tmp_path):
+    missing = tmp_path / "nonexistent.cfg"
+    line = _refusal(["train", "--config", str(missing), "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(missing) in line
+
+
+def test_a_bad_config_value_is_one_line_naming_the_setting(data_dir, tmp_path):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("lr = fast\n")
+    line = _refusal(["train", "--config", str(cfg), "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(cfg) in line and "'lr'" in line and "'fast'" in line
+
+
+def test_a_missing_checkpoint_is_one_line_naming_it(data_dir, tmp_path):
+    missing = tmp_path / "nonexistent.bin"
+    line = _refusal(["eval", "--checkpoint", str(missing), "--data-dir", str(data_dir)])
+    assert str(missing) in line
+
+
+def test_a_bad_checkpoint_is_one_line_naming_it(data_dir, tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"not a checkpoint")
+    line = _refusal(["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir)])
+    assert str(bad) in line
+
+
+def test_a_data_dir_without_train_bin_is_one_line_naming_it(tiny_cfg, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    line = _refusal(["train", "--config", str(tiny_cfg), "--data-dir", str(empty),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(empty / "train.bin") in line
+
+
+def test_a_refused_data_split_is_one_line_naming_it(data_dir, tiny_cfg, tmp_path):
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "train.bin").write_bytes((data_dir / "train.bin").read_bytes()[:-1])
+    (cut / "test.bin").write_bytes((data_dir / "test.bin").read_bytes())
+    line = _refusal(["train", "--config", str(tiny_cfg), "--data-dir", str(cut),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(cut / "train.bin") in line
+
+
+def test_an_error_inside_a_run_keeps_its_traceback(data_dir, tiny_cfg, tmp_path,
+                                                   monkeypatch):
+    def nan_step(params, cfg, batch, step):
+        raise cct.train.NonFiniteError("epoch 0, step 0: the loss is nan")
+
+    monkeypatch.setattr(cct.train, "train_step", nan_step)
+    with pytest.raises(cct.train.NonFiniteError):
+        main(["train", "--config", str(tiny_cfg), "--data-dir", str(data_dir),
+              "--out-dir", str(tmp_path / "o")])
 
 
 def test_params_command(tiny_cfg, capsys):

@@ -338,27 +338,30 @@ def test_norm_stats_do_not_depend_on_block_or_span(monkeypatch):
 
 
 def test_normalize_uint8_gives_float32():
+    """A uint8 image of one value per channel becomes float32 values of
+    (x / 255 - mean) / std, the same at every pixel of a channel."""
     stats = compute_norm_stats(_filled(100, 200))
-    out = normalize(np.full(IMG_SHAPE, 100, dtype=np.uint8), stats)
+    out = np.empty(IMG_SHAPE, dtype=np.float32)
+    normalize(np.full(IMG_SHAPE, 100, dtype=np.uint8), stats, out)
     assert out.dtype == np.float32
+    want = (100 / 255.0 - stats.mean) / stats.std
+    np.testing.assert_allclose(out, np.broadcast_to(want.reshape(3, 1, 1), IMG_SHAPE),
+                               rtol=1e-6)
 
 
-@pytest.mark.parametrize("dtype, out_dtype", [(np.uint8, np.float32),
-                                              (np.float32, np.float32),
-                                              (np.float64, np.float64)])
+@pytest.mark.parametrize("dtype, out_dtype", [(np.uint8, np.float32)])
 def test_normalize_in_place_keeps_the_bytes_and_its_argument(dtype, out_dtype):
-    """normalize works in place on its own copy: the argument is unchanged
-    and the bytes are those of (x / 255 - mean) / std in one expression."""
+    """normalize writes into the out its caller passes: the argument is
+    unchanged and the bytes are those of (x / 255 - mean) / std in one
+    expression."""
     rng = np.random.default_rng(8)
     recs = Records([(0, i, rng.integers(0, 256, 3072, dtype=np.uint8)) for i in range(6)])
     stats = compute_norm_stats(recs)
     x = recs.array["pixels"].reshape(-1, *IMG_SHAPE).astype(dtype)
-    if dtype != np.uint8:
-        x += rng.random(x.shape).astype(dtype)  # values between the integers
     before = x.copy()
-    out = normalize(x, stats)
+    out = np.empty(x.shape, dtype=out_dtype)
+    normalize(x, stats, out)
     assert np.array_equal(x, before) and x.dtype == dtype
-    assert out.dtype == out_dtype and out.flags.c_contiguous
     want = ref_normalize(before, stats)
     assert want.dtype == out_dtype
     assert out.tobytes() == want.tobytes()

@@ -29,6 +29,7 @@ from cct.data import batch_iter, compute_norm_stats, synthetic_dataset
 from cct.gradcheck import grad_check
 from cct.model import ModelConfig, forward, forward_tokens, init_params, tokenize
 from cct.train import train_step
+from oracles import ref_train_step
 
 SRC = Path(cct.__file__).resolve().parent
 
@@ -259,7 +260,8 @@ def test_backward_keeps_one_running_sum_of_the_chunk_gradients(monkeypatch):
 def test_train_step_gives_the_bytes_of_forward_cross_entropy_backward(
         monkeypatch, kind, where):
     """Batch 10 (chunks of 4, 4 and 2) with dropout: the fused step's loss,
-    logits and every gradient are those of the public sequence."""
+    logits and every gradient are those of the public sequence, and those
+    of plain per-chunk graphs summed in chunk order (ref_train_step)."""
     if where == "pool":
         _on_pool(monkeypatch)
     else:
@@ -278,6 +280,12 @@ def test_train_step_gives_the_bytes_of_forward_cross_entropy_backward(
     for name, t in params.items():
         assert grads[name].dtype == t.grad.dtype, name
         assert grads[name].tobytes() == t.grad.tobytes(), name
+    want_loss, want_logits, want = ref_train_step(init_params(cfg, 3), cfg, batch, 7)
+    assert np.float32(got_loss).tobytes() == np.float32(want_loss).tobytes()
+    assert got_logits.tobytes() == want_logits.tobytes()
+    for name, g in want.items():
+        assert grads[name].dtype == g.dtype, name
+        assert grads[name].tobytes() == g.tobytes(), name
 
 
 def _desk_step_peak(n: int) -> int:
