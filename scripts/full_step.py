@@ -4,7 +4,7 @@
 Runs one `train_step` plus `adamw_step` of the model in a run config
 (default: scripts/full.cfg, batch 1024) on synthetic records, and prints
 seconds per step, images per second and the peak RSS (`ru_maxrss`). On 2
-cores the shipped config's step took about 75 s at about 380 MB.
+cores the shipped config's step took about 60 s at about 340 MB.
 
 Usage: python3 scripts/full_step.py [CONFIG]
 """

@@ -17,10 +17,12 @@ from .gradcheck import run_suite
 from .tensor import ConfigError
 from .train import evaluate, load_run_config, overfit, train
 
-# A refused setting, data file, checkpoint or missing input file ends the
-# command with one line that names it; an error from inside a run (a
-# non-finite step, an interrupt) keeps its traceback.
-_REFUSALS = (ConfigError, DataError, CheckpointError, FileNotFoundError)
+# A refused setting, data file or checkpoint, or an input file that is
+# missing, a directory or unreadable, ends the command with one line that
+# names it; an error from inside a run (a non-finite step, an interrupt)
+# keeps its traceback.
+_REFUSALS = (ConfigError, DataError, CheckpointError, FileNotFoundError,
+             IsADirectoryError, PermissionError)
 
 
 def _data_dir(args) -> str:

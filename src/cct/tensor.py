@@ -2,7 +2,10 @@
 
 Ops record a graph as tensors are combined; backward() replays a
 topologically ordered tape once and accumulates gradients into leaf
-tensors. float32 is the working precision; float64 inputs stay float64
+tensors. A graph is swept once: the sweep takes each op's rule and parents
+out of its node as it passes the op, so the arrays the rule bound are freed
+as soon as it returns, and a later sweep that reaches the op raises
+AutodiffError. float32 is the working precision; float64 inputs stay float64
 so the gradient checker can run the same kernels at high precision.
 
 The graph holds nodes, not arrays. An op that records returns a Tensor,
@@ -12,7 +15,8 @@ leaf parent is held as the leaf Tensor itself). Each op binds, when it runs,
 every array and shape its backward rule will read; a rule never reads a
 parent's .data or .shape. An output array therefore lives exactly as long as
 the caller keeps its Tensor, or a rule binds it: a graph keeps alive only
-what backward needs. A parameter's array is bound as it was at forward time,
+what backward needs, and each op's part of it only until the sweep passes
+the op. A parameter's array is bound as it was at forward time,
 so a graph's rules see the weights it was built with even after an
 optimizer step.
 
@@ -29,10 +33,11 @@ Threads: map_chunks runs a function over fixed slices of CHUNK samples, one
 chunk per pool worker, and records the result as one op; its backward runs
 each chunk's reverse sweep on the pool and adds the chunks' gradients in
 chunk order (sum_chunks). A chunk graph lives from its forward to the end of
-its own sweep, so such an op is swept once. Every kernel runs whole on the
-thread that calls it, and OpenBLAS is set to one thread at import so that it
-does not compete with the pool. Chunk boundaries and the order of the sum
-depend only on the batch, so the bytes do not depend on the number of cores.
+its own sweep, and chunk graphs are disjoint, so their sweeps may run at
+once. Every kernel runs whole on the thread that calls it, and OpenBLAS is
+set to one thread at import so that it does not compete with the pool.
+Chunk boundaries and the order of the sum depend only on the batch, so the
+bytes do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -341,17 +346,27 @@ def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
     """One reverse sweep from root, seeded with g as d(loss)/d(root).
 
     Returns d(loss)/d(leaf) for each of `leaves` (None where no path leads),
-    possibly as views of arrays a rule returned. It writes nothing into the
-    graph, so sweeps may run at once and again on the same graph; only a
-    chunks op's rule frees what it holds, and runs once (map_chunks).
-    A rebuilt operand lives only for the rule call that reads it.
+    possibly as views of arrays a rule returned. The sweep takes each op's
+    rule and parents out of its node as it reaches it, so what the op kept
+    is freed as soon as its rule returns, and a graph is swept once: a
+    sweep that reaches an op an earlier sweep passed raises AutodiffError.
+    Sweeps of disjoint graphs may run at once. A rebuilt operand lives only
+    for the rule call that reads it.
     """
     flow = {root.node_id: g}
-    for t in reversed(tape(root)):
-        gt = flow.pop(t.node_id, None)
+    # the root's node itself, as a Tensor's _parents cannot be set
+    for node in reversed(tape(root._node or root)):
+        rule, parents = node._rule, node._parents
+        if rule is None:
+            raise AutodiffError("backward: a graph is swept once, and an earlier "
+                                "sweep freed what this op kept")
+        node._rule, node._parents = None, ()
+        gt = flow.pop(node.node_id, None)
         if gt is None:
             continue
-        for p, pg in zip(t._parents, t._rule(gt)):
+        pgs = rule(gt)
+        del rule, gt  # the arrays this op kept die here
+        for p, pg in zip(parents, pgs):
             if pg is not None and p.requires_grad:
                 pid = p.node_id
                 flow[pid] = pg if pid not in flow else flow[pid] + pg
@@ -359,7 +374,9 @@ def gradients(root: Tensor, g: np.ndarray, leaves) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """One reverse sweep; leaf .grad accumulates additively across calls."""
+    """One reverse sweep of loss's graph, which frees the graph as it goes
+    (gradients); leaf .grad accumulates additively across the sweeps of
+    separate graphs."""
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad or loss._op is None:
@@ -414,9 +431,8 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     be leaves; the chunks run through run_chunks (work: activation elements
     per chunk). A chunk graph keeps only its output's array and what its
     rules bind. The rule runs each chunk's sweep the same way and sums the
-    parameter gradients with sum_chunks. It drops each chunk graph as that
-    chunk's sweep starts, so the graph is freed by the end of the sweep and
-    the op is swept once: a second backward raises AutodiffError.
+    parameter gradients with sum_chunks; each sweep frees its chunk graph op
+    by op (gradients), so the op is swept once like every graph.
     """
     n = len(x.data)
     params = tuple(params)
@@ -428,15 +444,10 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
 
     chunks = run_chunks(forward, _n_chunks(n), work)
     out = np.concatenate([y.data for _, y in chunks])
-    graphs = dict(enumerate(chunks))
 
     def rule(g):
         def sweep(c, rows):
-            try:
-                xc, y = graphs.pop(c)  # one step, so two sweeps cannot both take it
-            except KeyError:
-                raise AutodiffError("backward: a chunks op is swept once, and an "
-                                    "earlier backward freed its chunk graphs") from None
+            xc, y = chunks[c]
             dx, *grads = gradients(y, g[rows], (xc, *params))
             return dx, grads
 

@@ -1,5 +1,8 @@
 """End-to-end runs of every CLI subcommand."""
 import argparse
+import builtins
+import errno
+import os
 import re
 import subprocess
 from pathlib import Path
@@ -89,6 +92,30 @@ def test_a_missing_checkpoint_is_one_line_naming_it(data_dir, tmp_path):
     missing = tmp_path / "nonexistent.bin"
     line = _refusal(["eval", "--checkpoint", str(missing), "--data-dir", str(data_dir)])
     assert str(missing) in line
+
+
+def test_a_directory_given_as_an_input_file_is_one_line_naming_it(data_dir, tmp_path):
+    line = _refusal(["train", "--config", str(tmp_path), "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(tmp_path) in line
+    line = _refusal(["eval", "--checkpoint", str(tmp_path), "--data-dir", str(data_dir)])
+    assert str(tmp_path) in line
+
+
+def test_an_unreadable_config_is_one_line_naming_it(data_dir, tiny_cfg, tmp_path,
+                                                    monkeypatch):
+    # root reads a chmod 000 file, so the denial comes from open itself
+    real_open = builtins.open
+
+    def denying_open(file, *args, **kwargs):
+        if str(file) == str(tiny_cfg):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", denying_open)
+    line = _refusal(["train", "--config", str(tiny_cfg), "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "o")])
+    assert str(tiny_cfg) in line
 
 
 def test_a_bad_checkpoint_is_one_line_naming_it(data_dir, tmp_path):

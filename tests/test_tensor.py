@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -450,13 +451,58 @@ def test_backward_sum_of_squares():
 
 
 def test_backward_accumulates_across_calls():
+    # two graphs of one expression: each sweep adds its gradients to .grad
     x, w, labels = _linear_xent()
-    loss = cross_entropy(linear(x, w), labels)
-    backward(loss)
+    backward(cross_entropy(linear(x, w), labels))
     once = x.grad.copy()
-    backward(loss)
+    backward(cross_entropy(linear(x, w), labels))
     npt.assert_allclose(once, xent_grad_of(x.data @ w.data, labels) @ w.data.T, rtol=1e-12)
     assert x.grad.tobytes() == (once + once).tobytes()
+
+
+def test_a_second_sweep_of_a_graph_raises_and_keeps_the_first_gradients():
+    x, w, labels = _linear_xent()
+    loss = cross_entropy(relu(linear(x, w)), labels)
+    backward(loss)
+    once = x.grad.copy(), w.grad.copy()
+    with pytest.raises(AutodiffError, match="swept once"):
+        backward(loss)
+    with pytest.raises(AutodiffError, match="swept once"):
+        gradients(loss, np.ones_like(loss.data), (x, w))
+    assert (x.grad.tobytes(), w.grad.tobytes()) == tuple(g.tobytes() for g in once)
+
+
+def test_a_root_built_on_a_swept_output_raises():
+    x, w, labels = _linear_xent()
+    h = linear(x, w)
+    backward(cross_entropy(relu(h), labels))
+    once = x.grad.copy()
+    with pytest.raises(AutodiffError, match="swept once"):
+        backward(cross_entropy(h, labels))
+    assert x.grad.tobytes() == once.tobytes()
+
+
+def test_a_sweep_frees_what_an_op_kept_once_its_rule_has_run():
+    # softmax's rule and the matmul reading its output both keep its array;
+    # by the time the sweep runs the rule of the matmul below, both are gone
+    r = np.random.default_rng(3)
+    x, w, v = (t64(r.normal(size=shape), True) for shape in ((3, 4), (4, 5), (5, 2)))
+    s = matmul(x, w)
+    rule, alive = s._rule, []
+
+    def wrapped(g):
+        alive.append(probs() is not None)
+        return rule(g)
+
+    s._rule = wrapped
+    p = softmax_rows(s)
+    probs = weakref.ref(p.data)
+    loss = cross_entropy(matmul(p, v), np.array([1, 0, 1]))
+    del p
+    assert probs() is not None
+    backward(loss)
+    assert alive == [False]
+    assert np.isfinite(x.grad).all()
 
 
 def test_backward_rejects_non_scalar():

@@ -288,8 +288,8 @@ def test_train_step_gives_the_bytes_of_forward_cross_entropy_backward(
         assert grads[name].tobytes() == g.tobytes(), name
 
 
-def _desk_step_peak(n: int) -> int:
-    cfg = ModelConfig()
+def _desk_step_peak(n: int, kind: str = "super") -> int:
+    cfg = ModelConfig(attn_kind=kind)
     params = init_params(cfg, 0)
     batch = _batch(n)
     tracemalloc.start()
@@ -299,6 +299,14 @@ def _desk_step_peak(n: int) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["super", "sdpa"])
+def test_a_desk_chunk_train_step_peaks_at_most_26_mib_per_sample(kind):
+    """The sweep frees each op's arrays as it passes the op, so a train step
+    of one 4-sample chunk peaks no higher than its forward's bound."""
+    peak = _desk_step_peak(tensor.CHUNK, kind)
+    assert peak / tensor.CHUNK <= 26 * 2**20, peak / tensor.CHUNK / 2**20
 
 
 def test_a_desk_train_step_peak_does_not_grow_with_the_batch():
