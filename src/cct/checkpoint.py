@@ -2,24 +2,22 @@
 
 Layout (all integers little-endian):
     magic   4 bytes  b"CCTS"
-    version u32      currently 3; others are refused (1 had six more model
-                     keys, 2 one more optimizer key)
+    version u32      currently 4; others are refused (1 had six more model
+                     keys, 2 one more optimizer key, 3 a name, dtype code
+                     and dims before each tensor)
     hlen    u32      length of the JSON header
-    header  hlen bytes of UTF-8 JSON: an object of exactly five keys, the
-                     model config, optimizer hyperparameters, seed, epoch and
-                     optimizer step count (the last three JSON integers);
-                     the two config objects carry exactly their class's
-                     fields, none null and each int field a JSON integer
-    count   u32      number of named tensors
-    per tensor:
-        nlen  u16, name nlen bytes UTF-8
-        dtype u8     0 = float32, 1 = float64
-        rank  u8
-        dims  rank * u32
-        data  raw little-endian values
+    header  hlen bytes of UTF-8 JSON: an object of exactly six keys, the
+                     model config, optimizer hyperparameters, seed, epoch,
+                     optimizer step count (the last three JSON integers
+                     >= 0) and `tensors`, the [name, shape] list of the
+                     parameters in canonical order, which must equal
+                     param_shapes of the model config; the two config
+                     objects carry exactly their class's fields, none null
+                     and each int field a JSON integer
+    data    for each parameter in that order, the raw little-endian float32
+            values of the parameter, its AdamW m and its AdamW v; nothing
+            follows, so the header fixes the file's size
 
-Parameters appear in canonical order, each followed by its AdamW moments
-adamw.m.<name> and adamw.v.<name>.
 Round-trips are bit-exact; a failed save leaves the previous file intact.
 """
 from __future__ import annotations
@@ -34,14 +32,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .model import ModelConfig, ParameterSet, canonical_param_names
+from .model import ModelConfig, ParameterSet, param_shapes
 from .optim import AdamWHyperParams, AdamWState
 from .tensor import Tensor
 
 MAGIC = b"CCTS"
-VERSION = 3
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -58,44 +54,12 @@ class CheckpointData:
     opt_state: AdamWState
 
 
-def _write_tensor(f, name: str, arr: np.ndarray) -> None:
-    code = _DTYPE_CODES.get(arr.dtype)
-    if code is None:
-        raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<H", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<BB", code, arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]))  # no bytes copy
-
-
 def _read_exact(f, n: int) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
         raise CheckpointError(f"{f.name}: truncated checkpoint: wanted {n} "
                               f"bytes, got {len(buf)}")
     return buf
-
-
-def _read_tensor(f, size: int):
-    """One tensor from f, an open checkpoint file of size bytes, whose name
-    is its path."""
-    (nlen,) = struct.unpack("<H", _read_exact(f, 2))
-    name = _read_exact(f, nlen).decode("utf-8")
-    code, rank = struct.unpack("<BB", _read_exact(f, 2))
-    if code not in _CODE_DTYPES:
-        raise CheckpointError(f"{f.name}: tensor {name!r} has unknown dtype code {code}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-    dtype = _CODE_DTYPES[code]
-    nbytes, left = math.prod(dims) * dtype.itemsize, size - f.tell()
-    if nbytes > left:  # refused before corrupt dims can allocate anything
-        raise CheckpointError(f"{f.name}: truncated checkpoint: tensor {name!r} "
-                              f"of shape {dims} needs {nbytes} bytes, {left} left")
-    data = np.empty(dims, dtype=dtype)
-    if f.readinto(data) != nbytes:  # straight into the array: no bytes copy
-        raise CheckpointError(f"{f.name}: checkpoint shrank while it was read")
-    return name, data
 
 
 @contextmanager
@@ -130,7 +94,7 @@ def replacing(path, mode="wb", **open_kwargs):
 
 
 # The header's top-level keys, all required.
-_HEADER_KEYS = ("model", "optimizer", "seed", "epoch", "opt_t")
+_HEADER_KEYS = ("model", "optimizer", "seed", "epoch", "opt_t", "tensors")
 
 
 def _check_keys(path, what: str, values, names) -> None:
@@ -163,25 +127,28 @@ def _config_from_header(path, cls, values):
 def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
                     epoch: int, hp: AdamWHyperParams,
                     opt_state: AdamWState) -> None:
+    names = params.names()
     header = {
         "model": asdict(cfg),
         "optimizer": asdict(hp),
         "seed": int(seed),
         "epoch": int(epoch),
         "opt_t": int(opt_state.t),
+        "tensors": [[name, list(params[name].shape)] for name in names],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    names = list(params.names())
-    count = len(names) * 3
     with replacing(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(hbytes)))
         f.write(hbytes)
-        f.write(struct.pack("<I", count))
         for name in names:
-            _write_tensor(f, name, params[name].data)
-            _write_tensor(f, f"adamw.m.{name}", opt_state.m[name])
-            _write_tensor(f, f"adamw.v.{name}", opt_state.v[name])
+            for key, arr in ((name, params[name].data),
+                             (f"adamw.m.{name}", opt_state.m[name]),
+                             (f"adamw.v.{name}", opt_state.v[name])):
+                if arr.dtype != np.float32:
+                    raise CheckpointError(f"{path}: tensor {key!r} is {arr.dtype}, "
+                                          f"not float32")
+                f.write(np.ascontiguousarray(arr, dtype="<f4"))  # no bytes copy
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -197,38 +164,39 @@ def load_checkpoint(path) -> CheckpointData:
             header = json.loads(hbytes.decode("utf-8"))
         except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
             raise CheckpointError(f"{path}: header is not UTF-8 JSON: {e}") from None
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
-        size = os.fstat(f.fileno()).st_size
-        try:
-            tensors = dict(_read_tensor(f, size) for _ in range(count))
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from None
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor table")
+        _check_keys(path, "header", header, _HEADER_KEYS)
+        for key in ("optimizer", "opt_t"):
+            if header[key] is None:
+                raise CheckpointError(f"{path}: header {key} is null: the checkpoint "
+                                      f"carries no optimizer state to resume from")
+        for key in ("seed", "epoch", "opt_t"):
+            if type(header[key]) is not int or header[key] < 0:  # nor a bool
+                raise CheckpointError(f"{path}: header {key} is not an integer "
+                                      f">= 0 (got {header[key]!r})")
+        cfg = _config_from_header(path, ModelConfig, header["model"])
+        hp = _config_from_header(path, AdamWHyperParams, header["optimizer"])
+        shapes = param_shapes(cfg)
+        if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
+            raise CheckpointError(f"{path}: header tensor names and shapes do not "
+                                  f"match the model config")
+        # Checked before anything is allocated, so a corrupt header cannot
+        # ask for more memory than the file holds.
+        need = 3 * 4 * sum(math.prod(shape) for shape in shapes.values())
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != need:
+            what = "truncated checkpoint" if left < need else "trailing bytes in checkpoint"
+            raise CheckpointError(f"{path}: {what}: the tensors take {need} "
+                                  f"bytes, {left} follow the header")
+        arrays = ({}, {}, {})  # the parameters, AdamW m, AdamW v
+        for name, shape in shapes.items():
+            for into in arrays:
+                into[name] = data = np.empty(shape, dtype="<f4")
+                if f.readinto(data) != data.nbytes:  # straight in: no bytes copy
+                    raise CheckpointError(f"{path}: checkpoint shrank while it was read")
 
-    _check_keys(path, "header", header, _HEADER_KEYS)
-    for key in ("optimizer", "opt_t"):
-        if header[key] is None:
-            raise CheckpointError(f"{path}: header {key} is null: the checkpoint "
-                                  f"carries no optimizer state to resume from")
-    for key in ("seed", "epoch", "opt_t"):
-        if type(header[key]) is not int:  # bool is an int subclass
-            raise CheckpointError(f"{path}: header {key} is not an integer "
-                                  f"(got {header[key]!r})")
-    cfg = _config_from_header(path, ModelConfig, header["model"])
-    hp = _config_from_header(path, AdamWHyperParams, header["optimizer"])
-    expected = canonical_param_names(cfg)
-    want = expected + [f"adamw.{s}.{n}" for n in expected for s in ("m", "v")]
-    if sorted(tensors) != sorted(want):
-        missing = sorted(set(want) - set(tensors))
-        extra = sorted(set(tensors) - set(want))
-        raise CheckpointError(f"{path}: tensor names do not match the model "
-                              f"config (missing {missing[:3]}, extra {extra[:3]})")
-
-    params = ParameterSet((name, Tensor(tensors[name], requires_grad=True))
-                          for name in expected)
-    opt_state = AdamWState(t=header["opt_t"],
-                           m={n: tensors[f"adamw.m.{n}"] for n in expected},
-                           v={n: tensors[f"adamw.v.{n}"] for n in expected})
+    values, m, v = arrays
+    params = ParameterSet((name, Tensor(values[name], requires_grad=True))
+                          for name in shapes)
     return CheckpointData(cfg=cfg, params=params, seed=header["seed"],
-                          epoch=header["epoch"], hp=hp, opt_state=opt_state)
+                          epoch=header["epoch"], hp=hp,
+                          opt_state=AdamWState(t=header["opt_t"], m=m, v=v))

@@ -18,7 +18,7 @@ from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
                      relu, softmax_rows, transpose)
 
 __all__ = [
-    "ModelConfig", "ParameterSet", "init_params", "canonical_param_names",
+    "ModelConfig", "ParameterSet", "init_params", "param_shapes",
     "tokenize", "encoder_block", "seq_pool", "forward", "forward_tokens",
     "chunk_work", "model_param_count",
 ]
@@ -113,18 +113,31 @@ def _attn_names(cfg: ModelConfig, i: int) -> list:
     return [f"layer{i}.attn.{w}" for w in ("w_q", "w_k", mid, "w_o")]
 
 
-def canonical_param_names(cfg: ModelConfig) -> list:
-    names = []
+def param_shapes(cfg: ModelConfig) -> dict:
+    """name -> shape of every parameter, in canonical order: the config fixes
+    both, since W_A is ctx_len x ctx_len and every other weight is sized by
+    d_model."""
+    d, r, k, l = cfg.d_model, cfg.mlp_ratio, CONV_KERNEL, cfg.ctx_len
+    shapes = {}
+    cin = IN_CHANNELS
     for i in range(cfg.conv_blocks):
-        names += [f"tokenizer.conv{i}.w", f"tokenizer.conv{i}.b"]
+        shapes[f"tokenizer.conv{i}.w"] = (d, cin, k, k)
+        shapes[f"tokenizer.conv{i}.b"] = (d,)
+        cin = d
+    mid = (d, d) if cfg.attn_kind == "sdpa" else (l, l)
     for i in range(cfg.n_layers):
-        names += [f"layer{i}.ln1.g", f"layer{i}.ln1.b"]
-        names += _attn_names(cfg, i)
-        names += [f"layer{i}.ln2.g", f"layer{i}.ln2.b",
-                  f"layer{i}.mlp.w1", f"layer{i}.mlp.b1",
-                  f"layer{i}.mlp.w2", f"layer{i}.mlp.b2"]
-    names += ["final_ln.g", "final_ln.b", "seqpool.g", "head.w", "head.b"]
-    return names
+        shapes[f"layer{i}.ln1.g"] = shapes[f"layer{i}.ln1.b"] = (d,)
+        for name, shape in zip(_attn_names(cfg, i), ((d, d), (d, d), mid, (d, d))):
+            shapes[name] = shape
+        shapes[f"layer{i}.ln2.g"] = shapes[f"layer{i}.ln2.b"] = (d,)
+        shapes[f"layer{i}.mlp.w1"] = (d, r * d)
+        shapes[f"layer{i}.mlp.b1"] = (r * d,)
+        shapes[f"layer{i}.mlp.w2"] = (r * d, d)
+        shapes[f"layer{i}.mlp.b2"] = (d,)
+    shapes["final_ln.g"] = shapes["final_ln.b"] = shapes["seqpool.g"] = (d,)
+    shapes["head.w"] = (d, cfg.n_classes)
+    shapes["head.b"] = (cfg.n_classes,)
+    return shapes
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:

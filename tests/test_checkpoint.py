@@ -11,7 +11,7 @@ import pytest
 
 from cct import checkpoint
 from cct.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from cct.model import ModelConfig, init_params
+from cct.model import ModelConfig, init_params, param_shapes
 from cct.optim import AdamWHyperParams, init_adamw_state
 
 CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, n_classes=7, img_size=8)
@@ -182,71 +182,42 @@ def test_rejects_header_that_is_not_utf8_json(tmp_path, hbytes):
         load_checkpoint(path)
 
 
-def test_rejects_tensor_name_that_is_not_utf8(tmp_path):
-    path = tmp_path / "ck.bin"
-    _save_with_optimizer(path)
-    raw = bytearray(path.read_bytes())
-    hlen = struct.unpack("<I", raw[8:12])[0]
-    raw[12 + hlen + 4 + 2] = 0xFF  # past the tensor count and the name length
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError,
-                       match=rf"^{re.escape(str(path))}: tensor name is not UTF-8"):
-        load_checkpoint(path)
-
-
-def _tensor_fields(raw):
-    """(name, offset of the dtype code byte, rank) of every tensor of a
-    checkpoint's bytes, in file order."""
-    hlen = struct.unpack("<I", raw[8:12])[0]
-    (count,) = struct.unpack("<I", raw[12 + hlen:16 + hlen])
-    at, out = 16 + hlen, []
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", raw[at:at + 2])
-        code_at = at + 2 + nlen
-        code, rank = raw[code_at], raw[code_at + 1]
-        dims = struct.unpack(f"<{rank}I", raw[code_at + 2:code_at + 2 + 4 * rank])
-        out.append((raw[at + 2:code_at].decode(), code_at, rank))
-        at = code_at + 2 + 4 * rank + int(np.prod(dims)) * (4 if code == 0 else 8)
-    return out
-
-
-@pytest.mark.parametrize("cut", ["10_bytes_short", "inside_the_first_name"])
+@pytest.mark.parametrize("cut", ["10_bytes_short", "inside_the_header"])
 def test_a_truncated_checkpoint_is_refused_by_name(tmp_path, cut):
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)
     raw = path.read_bytes()
-    end = len(raw) - 10 if cut == "10_bytes_short" else _tensor_fields(raw)[0][1] - 3
+    end = len(raw) - 10 if cut == "10_bytes_short" else 20
     path.write_bytes(raw[:end])
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: truncated checkpoint"):
         load_checkpoint(path)
 
 
-def test_an_unknown_dtype_code_is_refused_by_name(tmp_path):
+def test_trailing_bytes_are_refused_by_name(tmp_path):
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)
-    raw = bytearray(path.read_bytes())
-    name, code_at, _ = _tensor_fields(raw)[0]
-    raw[code_at] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: tensor "
-                                              rf"'{re.escape(name)}' has unknown dtype code 99"):
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: trailing bytes"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("dims", [(0xFFFFFFFF, 0xFFFFFFFF), (2**14, 2**10)])
-def test_dims_larger_than_the_file_are_refused_before_allocating(tmp_path, dims):
-    """A rank-2 tensor whose dims ask for more bytes than the file holds
-    (2**64 or 64 MiB) is refused without allocating them."""
+def test_a_header_that_needs_more_than_the_file_holds_is_refused_before_allocating(tmp_path):
+    """A header whose model config and tensors list agree on d_model 4096
+    asks for 2.8 GB of tensors; the size check refuses it before any tensor
+    is allocated."""
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)
-    raw = bytearray(path.read_bytes())
-    name, code_at, _ = next(t for t in _tensor_fields(raw) if t[2] == 2)
-    raw[code_at + 2:code_at + 10] = struct.pack("<2I", *dims)
-    path.write_bytes(bytes(raw))
+
+    def grow(header):
+        header["model"]["d_model"] = 4096
+        cfg = ModelConfig(**header["model"])
+        header["tensors"] = [[name, list(shape)] for name, shape in param_shapes(cfg).items()]
+
+    _rewrite_header(path, grow)
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: truncated "
-                                                  rf"checkpoint: tensor '{re.escape(name)}'"):
+                                                  rf"checkpoint: the tensors take 2821134420 bytes"):
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -254,11 +225,30 @@ def test_dims_larger_than_the_file_are_refused_before_allocating(tmp_path, dims)
     assert peak < 4 * 2**20
 
 
+def test_tensor_dims_that_do_not_match_the_config_are_refused(tmp_path):
+    """(16, 32) -> (32, 16) keeps the file's size, so only the check against
+    the model config sees it."""
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+
+    def swap(header):
+        entry = next(t for t in header["tensors"] if t[0] == "layer0.mlp.w1")
+        assert entry[1] == [16, 32]
+        entry[1] = [32, 16]
+
+    _rewrite_header(path, swap)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: header tensor "
+                                              rf"names and shapes do not match"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key,value", [("epoch", 2.5), ("seed", True),
-                                       ("opt_t", 3.0), ("epoch", "1")])
+                                       ("opt_t", 3.0), ("epoch", "1"),
+                                       ("seed", -1), ("epoch", -1), ("opt_t", -1)])
 def test_rejects_top_level_count_that_is_not_an_integer(tmp_path, key, value):
     """A float or a bool would load truncated or as 0/1 (epoch 2.5 as 2,
-    seed true as 1), so it is refused."""
+    seed true as 1), and a negative count has no meaning, so each is
+    refused."""
     path = tmp_path / "ck.bin"
     _save_with_optimizer(path)
     _rewrite_header(path, lambda h: h.update({key: value}))
@@ -317,6 +307,19 @@ def test_rejects_version_2(tmp_path):
         load_checkpoint(path)
 
 
+def test_rejects_version_3(tmp_path):
+    # a version-3 header had no tensors list: a name, dtype code and dims
+    # came before each tensor instead
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h.pop("tensors"))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 3)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 3"):
+        load_checkpoint(path)
+
+
 def test_rejects_truncated_file(tmp_path):
     params = _params()
     path = tmp_path / "ck.bin"
@@ -349,32 +352,27 @@ def test_magic_constant():
     assert MAGIC == b"CCTS"
 
 
-def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    """A float64 AdamW v of the first parameter, the third tensor written,
+    is refused, not cast, after the header and two tensors went out."""
     path = tmp_path / "ck.bin"
     params = _params()
     save_checkpoint(path, CFG, params, seed=3, epoch=1, hp=HP,
                     opt_state=init_adamw_state(params))
     before = path.read_bytes()
-    real, written = checkpoint._write_tensor, []
-
-    def failing(f, name, arr):
-        if len(written) == 2:
-            raise OSError("disk full")
-        written.append(name)
-        real(f, name, arr)
-
-    monkeypatch.setattr(checkpoint, "_write_tensor", failing)
     other = init_params(CFG, seed=4)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP,
-                        opt_state=init_adamw_state(other))
+    state = init_adamw_state(other)
+    first = other.names()[0]
+    state.v[first] = state.v[first].astype(np.float64)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: tensor "
+                                              rf"'adamw.v.{re.escape(first)}' is float64"):
+        save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP, opt_state=state)
     assert path.read_bytes() == before
     back = load_checkpoint(path)
     assert back.epoch == 1 and back.seed == 3
     for name in params.names():
         assert np.array_equal(back.params[name].data, params[name].data)
     assert os.listdir(tmp_path) == ["ck.bin"]
-    monkeypatch.setattr(checkpoint, "_write_tensor", real)
     save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP,
                     opt_state=init_adamw_state(other))
     assert load_checkpoint(path).epoch == 2

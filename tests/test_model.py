@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,12 +7,12 @@ import pytest
 from cct.attention import attention_param_count
 from cct.model import (
     ModelConfig,
-    canonical_param_names,
     encoder_block,
     forward,
     forward_tokens,
     init_params,
     model_param_count,
+    param_shapes,
     seq_pool,
     tokenize,
 )
@@ -254,22 +256,26 @@ def test_param_count_components():
 
 
 def test_param_count_matches_enumeration():
+    """model_param_count and param_shapes both agree with what init_params
+    builds: its names, their order and their shapes."""
     rng = np.random.default_rng(14)
-    for _ in range(20):
-        h = int(rng.integers(1, 4))
+    for kind, conv_blocks, (d, h) in itertools.product(
+            ("sdpa", "super"), (1, 2, 3), ((5, 1), (12, 3))):
         cfg = ModelConfig(
-            attn_kind=str(rng.choice(["sdpa", "super"])),
+            attn_kind=kind,
             img_size=int(rng.choice([8, 16, 32])),
-            d_model=h * int(rng.integers(2, 7)),
+            d_model=d,
             n_layers=int(rng.integers(1, 4)),
             n_heads=h,
             mlp_ratio=int(rng.integers(1, 4)),
             n_classes=int(rng.integers(2, 101)),
+            conv_blocks=conv_blocks,
             seed=0,
         )
         params = init_params(cfg, seed=1)
         assert model_param_count(cfg)["total"] == params.n_scalars(), cfg
-        assert params.names() == canonical_param_names(cfg)
+        assert [(n, params[n].shape) for n in params.names()] == \
+            list(param_shapes(cfg).items()), cfg
 
 
 def test_super_vs_sdpa_total_ordering_follows_ctx_vs_d():

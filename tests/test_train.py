@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cct.checkpoint import load_checkpoint
+from cct.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cct.data import (
     DataError,
     batch_iter,
@@ -409,6 +409,14 @@ def test_resume_of_a_finished_run_is_refused_before_touching_metrics(data_dir, t
     before = open(result["metrics"], "rb").read()
     with pytest.raises(ConfigError, match=r"epoch 2\b.*\b2 epochs"):
         train(run, data_dir, tmp_path / "out", resume_from=result["checkpoint"])
+    assert open(result["metrics"], "rb").read() == before
+    # a negative epoch is refused as the checkpoint loads, before the rows
+    # from that epoch on would be dropped
+    ck = load_checkpoint(result["checkpoint"])
+    negative = tmp_path / "negative.bin"
+    save_checkpoint(negative, ck.cfg, ck.params, ck.seed, -1, ck.hp, ck.opt_state)
+    with pytest.raises(CheckpointError, match=r"header epoch is not an integer >= 0"):
+        train(run, data_dir, tmp_path / "out", resume_from=negative)
     assert open(result["metrics"], "rb").read() == before
 
 
