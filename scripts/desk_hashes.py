@@ -17,10 +17,14 @@ mean and std bytes over the same 2,048 synthetic records, then over 2,048
 records of random pixels (numpy Generator seed 3) followed by one all-255
 and one all-0 record.
 
+`init` pins the initial parameters: the sha256 of each tensor's name and
+bytes from `init_params` at the desk config with seed 3, in canonical order,
+for super then sdpa, each at conv_blocks 1 then 2.
+
 Each hash is printed with `ok` or `differs` against EXPECTED, the values
 the current trajectory gives; the script exits 1 if any differs.
 
-Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest norm)
+Usage: python3 scripts/desk_hashes.py [NAME ...]   (default: super sdpa ingest norm init)
 """
 import hashlib
 import os
@@ -33,10 +37,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from cct.data import (RECORD, TEST_FILE, TRAIN_FILE, Records, batch_iter,  # noqa: E402
                       compute_norm_stats, synthetic_dataset, write_records)
+from cct.model import ModelConfig, init_params  # noqa: E402
 from cct.train import RunConfig, train  # noqa: E402
 
 EXPECTED = {"super": "4220e93647e2cb96", "sdpa": "820fccec300ef762",
-            "ingest": "34cc2f956bc0e2fa", "norm": "4c4e917c40915fca"}
+            "ingest": "34cc2f956bc0e2fa", "norm": "4c4e917c40915fca",
+            "init": "cebbf081e9098558"}
 
 
 def desk_hash(attn_kind: str, work: str) -> str:
@@ -76,9 +82,21 @@ def norm_hash() -> str:
     return h.hexdigest()[:16]
 
 
+def init_hash() -> str:
+    h = hashlib.sha256()
+    for attn_kind in ("super", "sdpa"):
+        for conv_blocks in (1, 2):
+            params = init_params(ModelConfig(attn_kind=attn_kind,
+                                             conv_blocks=conv_blocks), 3)
+            for name, t in params.items():
+                h.update(name.encode())
+                h.update(t.data.tobytes())
+    return h.hexdigest()[:16]
+
+
 def main(names) -> int:
     """Prints each name's hash and whether it is EXPECTED's; 1 if any differs."""
-    data_hashes = {"ingest": ingest_hash, "norm": norm_hash}
+    data_hashes = {"ingest": ingest_hash, "norm": norm_hash, "init": init_hash}
     differs = False
     with tempfile.TemporaryDirectory() as work:
         for name in names:

@@ -124,24 +124,45 @@ def _config_from_header(path, cls, values):
         raise CheckpointError(f"{path}: header {cls.__name__} is not valid: {e}") from None
 
 
+def _check_count(path, key: str, value) -> None:
+    if type(value) is not int or value < 0:  # nor a bool
+        raise CheckpointError(f"{path}: header {key} is not an integer "
+                              f">= 0 (got {value!r})")
+
+
+def _tensor_list(shapes: dict) -> list:
+    """The header's `tensors`: [name, shape] of each parameter in order."""
+    return [[name, list(shape)] for name, shape in shapes.items()]
+
+
 def save_checkpoint(path, cfg: ModelConfig, params: ParameterSet, seed: int,
                     epoch: int, hp: AdamWHyperParams,
                     opt_state: AdamWState) -> None:
-    names = params.names()
+    """Refuses, before `path` is touched, what load_checkpoint would refuse:
+    parameters or AdamW moments that are not param_shapes(cfg), and counts
+    that are not integers >= 0."""
+    tensors = _tensor_list(param_shapes(cfg))
+    for what, arrays in (("parameter", dict(params.items())),
+                         ("AdamW m", opt_state.m), ("AdamW v", opt_state.v)):
+        if [[name, list(a.shape)] for name, a in arrays.items()] != tensors:
+            raise CheckpointError(f"{path}: {what} names and shapes do not "
+                                  f"match the model config")
+    for key, value in (("seed", seed), ("epoch", epoch), ("opt_t", opt_state.t)):
+        _check_count(path, key, value)
     header = {
         "model": asdict(cfg),
         "optimizer": asdict(hp),
-        "seed": int(seed),
-        "epoch": int(epoch),
-        "opt_t": int(opt_state.t),
-        "tensors": [[name, list(params[name].shape)] for name in names],
+        "seed": seed,
+        "epoch": epoch,
+        "opt_t": opt_state.t,
+        "tensors": tensors,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with replacing(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(hbytes)))
         f.write(hbytes)
-        for name in names:
+        for name in params:
             for key, arr in ((name, params[name].data),
                              (f"adamw.m.{name}", opt_state.m[name]),
                              (f"adamw.v.{name}", opt_state.v[name])):
@@ -170,13 +191,11 @@ def load_checkpoint(path) -> CheckpointData:
                 raise CheckpointError(f"{path}: header {key} is null: the checkpoint "
                                       f"carries no optimizer state to resume from")
         for key in ("seed", "epoch", "opt_t"):
-            if type(header[key]) is not int or header[key] < 0:  # nor a bool
-                raise CheckpointError(f"{path}: header {key} is not an integer "
-                                      f">= 0 (got {header[key]!r})")
+            _check_count(path, key, header[key])
         cfg = _config_from_header(path, ModelConfig, header["model"])
         hp = _config_from_header(path, AdamWHyperParams, header["optimizer"])
         shapes = param_shapes(cfg)
-        if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
+        if header["tensors"] != _tensor_list(shapes):
             raise CheckpointError(f"{path}: header tensor names and shapes do not "
                                   f"match the model config")
         # Checked before anything is allocated, so a corrupt header cannot

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (AttentionConfig, AttentionParams, attention_forward,
-                        attention_param_count, init_attention_params)
+from .attention import AttentionConfig, AttentionParams, attention_forward
 from .seeding import stream
 from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
                      gelu, layernorm, linear, map_chunks, matmul, maxpool2d,
@@ -140,51 +139,33 @@ def param_shapes(cfg: ModelConfig) -> dict:
     return shapes
 
 
+def _is_norm(name: str) -> bool:
+    """A layernorm's gain or bias: layer{i}.ln1, layer{i}.ln2 or final_ln."""
+    return ".ln" in name or name.startswith("final_ln.")
+
+
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
-    """Kaiming-uniform conv, Xavier-uniform linears, identity W_A,
-    unit/zero norms, zero seq-pool query and head bias."""
+    """Every tensor of param_shapes(cfg), in its order, initialized by its
+    name and rank: Kaiming-uniform 4-d conv kernels, Xavier-uniform 2-d
+    weights, identity W_A (super attention starts as W_V-free SDPA), unit
+    layernorm gains, and zero biases and seq-pool query."""
     rng = stream("init", seed)
-    d, r = cfg.d_model, cfg.mlp_ratio
 
-    def param(a):
-        return Tensor(np.asarray(a, dtype=dtype), requires_grad=True)
+    def init(name, shape):
+        if name.endswith(".w_a"):
+            return np.eye(shape[0])
+        if len(shape) == 1:
+            gain = _is_norm(name) and name.endswith(".g")
+            return np.ones(shape) if gain else np.zeros(shape)
+        # Kaiming over a conv kernel's (out, in, k, k) fan-in of in * k * k;
+        # Xavier over a (fan_in, fan_out) weight
+        fan = math.prod(shape[1:]) if len(shape) == 4 else sum(shape)
+        bound = math.sqrt(6.0 / fan)
+        return rng.uniform(-bound, bound, size=shape)
 
-    def kaiming_conv(cin):
-        fan_in = cin * CONV_KERNEL ** 2
-        bound = math.sqrt(6.0 / fan_in)
-        return param(rng.uniform(-bound, bound,
-                                 size=(d, cin, CONV_KERNEL, CONV_KERNEL)))
-
-    def xavier(fan_in, fan_out):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return param(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-
-    named = {}
-    cin = IN_CHANNELS
-    for i in range(cfg.conv_blocks):
-        named[f"tokenizer.conv{i}.w"] = kaiming_conv(cin)
-        named[f"tokenizer.conv{i}.b"] = param(np.zeros(d))
-        cin = d
-    acfg = cfg.attn_config()
-    for i in range(cfg.n_layers):
-        named[f"layer{i}.ln1.g"] = param(np.ones(d))
-        named[f"layer{i}.ln1.b"] = param(np.zeros(d))
-        ap = init_attention_params(acfg, rng, dtype=dtype)
-        mid = ap.w_v if cfg.attn_kind == "sdpa" else ap.w_a
-        for name, t in zip(_attn_names(cfg, i), (ap.w_q, ap.w_k, mid, ap.w_o)):
-            named[name] = t
-        named[f"layer{i}.ln2.g"] = param(np.ones(d))
-        named[f"layer{i}.ln2.b"] = param(np.zeros(d))
-        named[f"layer{i}.mlp.w1"] = xavier(d, r * d)
-        named[f"layer{i}.mlp.b1"] = param(np.zeros(r * d))
-        named[f"layer{i}.mlp.w2"] = xavier(r * d, d)
-        named[f"layer{i}.mlp.b2"] = param(np.zeros(d))
-    named["final_ln.g"] = param(np.ones(d))
-    named["final_ln.b"] = param(np.zeros(d))
-    named["seqpool.g"] = param(np.zeros(d))
-    named["head.w"] = xavier(d, cfg.n_classes)
-    named["head.b"] = param(np.zeros(cfg.n_classes))
-    return ParameterSet(named)
+    return ParameterSet(
+        (name, Tensor(np.asarray(init(name, shape), dtype=dtype), requires_grad=True))
+        for name, shape in param_shapes(cfg).items())
 
 
 def _layer_attn_params(params: ParameterSet, cfg: ModelConfig, i: int) -> AttentionParams:
@@ -280,25 +261,18 @@ def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
 
 
 def model_param_count(cfg: ModelConfig) -> dict:
-    """Closed-form per-component counts; total matches init_params exactly."""
-    d, r, k = cfg.d_model, cfg.mlp_ratio, CONV_KERNEL
-    tokenizer = 0
-    cin = IN_CHANNELS
-    for _ in range(cfg.conv_blocks):
-        tokenizer += d * cin * k * k + d
-        cin = d
-    attn = attention_param_count(cfg.attn_config())
-    mlp = d * r * d + r * d + r * d * d + d
-    norms = cfg.n_layers * 4 * d + 2 * d
-    seqpool = d
-    head = d * cfg.n_classes + cfg.n_classes
-    total = tokenizer + cfg.n_layers * (attn + mlp) + norms + seqpool + head
-    return {
-        "tokenizer": tokenizer,
-        "per_layer_attention": attn,
-        "per_layer_mlp": mlp,
-        "norms": norms,
-        "seqpool": seqpool,
-        "head": head,
-        "total": total,
-    }
+    """Scalars per component, summed from param_shapes(cfg): the attention
+    and MLP entries count one encoder layer, total counts every parameter."""
+    counts = dict.fromkeys(("tokenizer", "per_layer_attention", "per_layer_mlp",
+                            "norms", "seqpool", "head", "total"), 0)
+    for name, shape in param_shapes(cfg).items():
+        size = math.prod(shape)
+        owner, part = name.split(".")[:2]
+        if _is_norm(name):
+            counts["norms"] += size
+        elif owner == "layer0":
+            counts["per_layer_attention" if part == "attn" else "per_layer_mlp"] += size
+        elif owner in counts:  # tokenizer, seqpool, head
+            counts[owner] += size
+        counts["total"] += size
+    return counts

@@ -281,6 +281,8 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
     """Memorization probe: full-batch steps on n samples with a small model
     until train top-1 reaches `target` percent. Uses the train split of
     `data_dir` when one is given, synthetic class-colored data otherwise."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     say = log or (lambda msg: None)
     if data_dir is not None:
         records = load_cifar100(data_dir)["train"][:n]

@@ -11,7 +11,7 @@ import pytest
 
 from cct import checkpoint
 from cct.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from cct.model import ModelConfig, init_params, param_shapes
+from cct.model import ModelConfig, ParameterSet, init_params, param_shapes
 from cct.optim import AdamWHyperParams, init_adamw_state
 
 CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, n_classes=7, img_size=8)
@@ -376,6 +376,51 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path):
     save_checkpoint(path, CFG, other, seed=4, epoch=2, hp=HP,
                     opt_state=init_adamw_state(other))
     assert load_checkpoint(path).epoch == 2
+    assert os.listdir(tmp_path) == ["ck.bin"]
+
+
+def _save_args(params=None, **counts):
+    """save_checkpoint's arguments besides path, config and hp, with
+    `counts` (seed, epoch, opt_t) in place of the defaults."""
+    params = params or init_params(CFG, seed=4)
+    state = init_adamw_state(params)
+    state.t = counts.pop("opt_t", 0)
+    return {"params": params, "opt_state": state, "seed": 4, "epoch": 2, **counts}
+
+
+def _moment_of_another_shape():
+    args = _save_args()
+    args["opt_state"].m["tokenizer.conv0.w"] = np.zeros(3, dtype=np.float32)
+    return args
+
+
+@pytest.mark.parametrize("make_args,what", [
+    (lambda: _save_args(init_params(dataclasses.replace(CFG, d_model=8), seed=4)),
+     "parameter names and shapes do not match"),
+    (lambda: _save_args(ParameterSet(reversed(list(_params().items())))),
+     "parameter names and shapes do not match"),
+    (lambda: _save_args(ParameterSet(list(_params().items())[:-1])),
+     "parameter names and shapes do not match"),
+    (_moment_of_another_shape, "AdamW m names and shapes do not match"),
+    (lambda: _save_args(epoch=-1), "header epoch is not an integer >= 0"),
+    (lambda: _save_args(seed=-1), "header seed is not an integer >= 0"),
+    (lambda: _save_args(opt_t=-1), "header opt_t is not an integer >= 0"),
+    (lambda: _save_args(epoch=2.5), "header epoch is not an integer >= 0"),
+    (lambda: _save_args(seed=True), "header seed is not an integer >= 0"),
+], ids=["other_config", "reordered", "missing_one", "moment_shape", "epoch_-1",
+        "seed_-1", "opt_t_-1", "epoch_2.5", "seed_true"])
+def test_a_save_that_load_would_refuse_is_refused_before_writing(tmp_path, make_args, what):
+    """Params or AdamW moments that are not param_shapes(cfg), or a count
+    that is not an integer >= 0, are refused before the temporary file is
+    opened, so the previous checkpoint stays as it was."""
+    path = tmp_path / "ck.bin"
+    params = _params()
+    save_checkpoint(path, CFG, params, seed=3, epoch=1, hp=HP,
+                    opt_state=init_adamw_state(params))
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: {what}"):
+        save_checkpoint(path, CFG, hp=HP, **make_args())
+    assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["ck.bin"]
 
 

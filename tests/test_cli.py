@@ -205,6 +205,13 @@ def test_overfit_command(capsys):
     assert "reached" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_overfit_without_a_step_is_one_line(monkeypatch, steps):
+    monkeypatch.delenv("CCT_DATA_DIR", raising=False)
+    line = _refusal(["overfit", "--n", "4", "--steps", steps])
+    assert line == f"cct overfit: steps must be >= 1, got {steps}"
+
+
 def _readme_cli_flags():
     """{subcommand: flags} of the `cct ...` lines of README's ## CLI block."""
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]

@@ -702,14 +702,16 @@ def test_pooled_batches_have_the_bytes_of_one_worker(monkeypatch, augment_enable
 
 
 def test_the_fast_desk_hashes_are_pinned():
-    """scripts/desk_hashes.py's ingest and norm fingerprints: a change to the
-    augmented batch bytes or to the normalization stats changes them."""
+    """scripts/desk_hashes.py's ingest, norm and init fingerprints: a change
+    to the augmented batch bytes, the normalization stats or the initial
+    parameters changes them."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "desk_hashes.py"
     spec = importlib.util.spec_from_file_location("desk_hashes", path)
     desk_hashes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(desk_hashes)
     assert desk_hashes.ingest_hash() == desk_hashes.EXPECTED["ingest"]
     assert desk_hashes.norm_hash() == desk_hashes.EXPECTED["norm"]
+    assert desk_hashes.init_hash() == desk_hashes.EXPECTED["init"]
 
 
 def test_augmentation_changes_some_pixels():

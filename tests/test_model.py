@@ -253,11 +253,24 @@ def test_param_count_components():
     assert counts["head"] == 16 * 100 + 100
     assert counts["per_layer_attention"] == attention_param_count(cfg.attn_config())
     assert counts["seqpool"] == 16
+    # the desk config (d 256, 6 layers, ctx 256 at one conv block, 64 at two)
+    shared = {"per_layer_mlp": 262912, "norms": 6656, "seqpool": 256, "head": 25700}
+    one_block = {"tokenizer": 7168, "per_layer_attention": 262144, **shared,
+                 "total": 3190116}
+    for kind in ("super", "sdpa"):
+        assert model_param_count(ModelConfig(attn_kind=kind)) == one_block, kind
+    assert model_param_count(ModelConfig(attn_kind="super", conv_blocks=2)) == {
+        "tokenizer": 597248, "per_layer_attention": 200704, **shared,
+        "total": 3411556}
+    assert model_param_count(ModelConfig(attn_kind="sdpa", conv_blocks=2)) == {
+        "tokenizer": 597248, "per_layer_attention": 262144, **shared,
+        "total": 3780196}
 
 
 def test_param_count_matches_enumeration():
-    """model_param_count and param_shapes both agree with what init_params
-    builds: its names, their order and their shapes."""
+    """model_param_count, param_shapes and init_params agree: the names,
+    their order and their shapes, and each layer's attention count matches
+    attention_param_count's closed form."""
     rng = np.random.default_rng(14)
     for kind, conv_blocks, (d, h) in itertools.product(
             ("sdpa", "super"), (1, 2, 3), ((5, 1), (12, 3))):
@@ -273,7 +286,10 @@ def test_param_count_matches_enumeration():
             seed=0,
         )
         params = init_params(cfg, seed=1)
-        assert model_param_count(cfg)["total"] == params.n_scalars(), cfg
+        counts = model_param_count(cfg)
+        assert counts["total"] == params.n_scalars(), cfg
+        assert counts["per_layer_attention"] == \
+            attention_param_count(cfg.attn_config()), cfg
         assert [(n, params[n].shape) for n in params.names()] == \
             list(param_shapes(cfg).items()), cfg
 

@@ -5,13 +5,14 @@ import dataclasses
 import importlib.util
 import os
 import re
+import struct
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cct.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from cct.checkpoint import CheckpointError, load_checkpoint
 from cct.data import (
     DataError,
     batch_iter,
@@ -411,10 +412,15 @@ def test_resume_of_a_finished_run_is_refused_before_touching_metrics(data_dir, t
         train(run, data_dir, tmp_path / "out", resume_from=result["checkpoint"])
     assert open(result["metrics"], "rb").read() == before
     # a negative epoch is refused as the checkpoint loads, before the rows
-    # from that epoch on would be dropped
-    ck = load_checkpoint(result["checkpoint"])
+    # from that epoch on would be dropped; save_checkpoint refuses to write
+    # one, so the header bytes are edited
+    raw = open(result["checkpoint"], "rb").read()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = raw[12:12 + hlen].replace(b'"epoch": 2,', b'"epoch": -1,')
+    assert len(header) != hlen  # sanity: the substitution happened
     negative = tmp_path / "negative.bin"
-    save_checkpoint(negative, ck.cfg, ck.params, ck.seed, -1, ck.hp, ck.opt_state)
+    negative.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                         + raw[12 + hlen:])
     with pytest.raises(CheckpointError, match=r"header epoch is not an integer >= 0"):
         train(run, data_dir, tmp_path / "out", resume_from=negative)
     assert open(result["metrics"], "rb").read() == before
