@@ -1,16 +1,18 @@
-"""SDPA and super attention, plus exact parameter and FLOP accounting.
+"""SDPA and super attention: one forward for both kinds, the table of
+their weights, and exact parameter and FLOP accounting.
 
-Super attention drops the value projection W_V and instead mixes tokens
-with one learnable ctx_len x ctx_len matrix W_A (V = W_A @ x), shared
-across heads. That ties the mechanism to a fixed context length and is
-where its positional signal comes from.
+The kinds differ only in how they form the values V. SDPA projects them,
+V = x @ W_V. Super attention drops W_V and instead mixes tokens with one
+learnable ctx_len x ctx_len matrix W_A (V = W_A @ x), shared across heads.
+That ties the mechanism to a fixed context length and is where its
+positional signal comes from. `attention_shapes` is the one list of each
+kind's weight names and shapes; the model's parameter table and the
+micro-benchmark build theirs from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .tensor import (ConfigError, ShapeError, Tensor, linear, matmul,
                      softmax_rows, transpose)
@@ -48,22 +50,13 @@ class AttentionParams:
     w_a: Tensor | None = None  # super only
 
 
-def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator,
-                          dtype=np.float32) -> AttentionParams:
-    """Xavier-uniform projections; W_A starts as the identity so super
-    attention coincides with W_V-free SDPA at initialization."""
-    d = cfg.d_model
-    bound = math.sqrt(3.0 / d)  # sqrt(6 / (fan_in + fan_out)) with both = d
-
-    def draw():
-        return Tensor(rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
-                      requires_grad=True)
-
-    w_q, w_k = draw(), draw()
-    w_v = draw() if cfg.kind == "sdpa" else None
-    w_a = (Tensor(np.eye(cfg.ctx_len, dtype=dtype), requires_grad=True)
-           if cfg.kind == "super" else None)
-    return AttentionParams(w_q=w_q, w_k=w_k, w_o=draw(), w_v=w_v, w_a=w_a)
+def attention_shapes(cfg: AttentionConfig) -> dict:
+    """name -> shape of the attention weights, in canonical order: W_Q and
+    W_K, then W_V (d_model x d_model) for sdpa or W_A (ctx_len x ctx_len)
+    for super, then W_O."""
+    d, el = cfg.d_model, cfg.ctx_len
+    values = {"w_v": (d, d)} if cfg.kind == "sdpa" else {"w_a": (el, el)}
+    return {"w_q": (d, d), "w_k": (d, d), **values, "w_o": (d, d)}
 
 
 def _check_input(x: Tensor, cfg: AttentionConfig):
@@ -86,35 +79,25 @@ def _scores(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
     return softmax_rows(logits, scale=1.0 / math.sqrt(cfg.head_dim))
 
 
-def _mix_and_project(scores: Tensor, v: Tensor, p: AttentionParams,
-                     cfg: AttentionConfig) -> Tensor:
-    b = v.shape[0]
-    ctx = matmul(scores, _split_heads(v, cfg))          # (B, H, L, hd)
-    merged = transpose(ctx, (0, 2, 1, 3)).reshape(b, cfg.ctx_len, cfg.d_model)
-    return linear(merged, p.w_o)
-
-
-def sdpa_forward(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    _check_input(x, cfg)
-    if p.w_v is None:
-        raise ConfigError("sdpa_forward: params carry no w_v")
-    v = linear(x, p.w_v)
-    return _mix_and_project(_scores(x, p, cfg), v, p, cfg)
-
-
-def super_forward(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    _check_input(x, cfg)
-    if p.w_a is None:
-        raise ConfigError("super_forward: params carry no w_a")
-    if p.w_a.shape != (cfg.ctx_len, cfg.ctx_len):
-        raise ShapeError(f"super_forward: w_a {p.w_a.shape} does not match "
-                         f"ctx_len={cfg.ctx_len}")
-    v = matmul(p.w_a, x)  # token mixing along the sequence axis, shared heads
-    return _mix_and_project(_scores(x, p, cfg), v, p, cfg)
-
-
 def attention_forward(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    return sdpa_forward(x, p, cfg) if cfg.kind == "sdpa" else super_forward(x, p, cfg)
+    """softmax(Q K^T / sqrt(head_dim)) V per head, merged and projected by
+    W_O, with V = x @ W_V for sdpa and V = W_A @ x for super."""
+    _check_input(x, cfg)
+    if cfg.kind == "sdpa":
+        if p.w_v is None:
+            raise ConfigError("attention_forward: sdpa params carry no w_v")
+        v = linear(x, p.w_v)
+    else:
+        if p.w_a is None:
+            raise ConfigError("attention_forward: super params carry no w_a")
+        if p.w_a.shape != (cfg.ctx_len, cfg.ctx_len):
+            raise ShapeError(f"attention_forward: w_a {p.w_a.shape} does not "
+                             f"match ctx_len={cfg.ctx_len}")
+        v = matmul(p.w_a, x)  # token mixing along the sequence axis, shared heads
+    ctx = matmul(_scores(x, p, cfg), _split_heads(v, cfg))  # (B, H, L, hd)
+    merged = transpose(ctx, (0, 2, 1, 3)).reshape(x.shape[0], cfg.ctx_len,
+                                                  cfg.d_model)
+    return linear(merged, p.w_o)
 
 
 def attention_scores(x: Tensor, p: AttentionParams, cfg: AttentionConfig) -> Tensor:

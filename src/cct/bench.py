@@ -11,11 +11,12 @@ import numpy as np
 from .attention import (
     KINDS,
     AttentionConfig,
+    AttentionParams,
     attention_flops,
     attention_forward,
-    init_attention_params,
+    attention_shapes,
 )
-from .model import ModelConfig, model_param_count
+from .model import ModelConfig, init_tensors, model_param_count
 from .seeding import stream
 from .tensor import ConfigError, Tensor, gradients, no_grad
 
@@ -69,8 +70,8 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5, seed: int = 0)
             for kind in KINDS:
                 cfg = AttentionConfig(kind=kind, d_model=d,
                                       n_heads=_bench_heads(d), ctx_len=ctx)
-                params = init_attention_params(cfg, stream("init", seed, 1))
-                weights = [w for w in vars(params).values() if w is not None]
+                weights = init_tensors(attention_shapes(cfg), stream("init", seed, 1))
+                params = AttentionParams(**weights)
 
                 def fwd():
                     with no_grad():
@@ -79,7 +80,7 @@ def bench_attention(dims, ctxs, iters: int = 20, warmup: int = 5, seed: int = 0)
                 def fwd_bwd():
                     x = Tensor(x_data, requires_grad=True)
                     y = attention_forward(x, params, cfg)
-                    gradients(y, np.ones_like(y.data), (x, *weights))
+                    gradients(y, np.ones_like(y.data), (x, *weights.values()))
 
                 rows.append(BenchRow(
                     kind=kind, d=d, ctx=ctx,

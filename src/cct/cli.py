@@ -34,10 +34,13 @@ def _data_dir(args) -> str:
 
 def _int_list(text: str):
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, "
-                                         f"got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected one or more comma-separated "
+                                         f"ints, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,12 +8,15 @@ valid.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .attention import (KINDS, AttentionConfig, AttentionParams,
+                        attention_forward, attention_shapes)
 from .tensor import ConfigError, Tensor, gradients, no_grad
 
 
@@ -183,34 +186,23 @@ OP_CASES = {
 }
 
 
-def _case_sdpa_forward(rng):
-    from .attention import AttentionConfig, AttentionParams, sdpa_forward
-    h = int(rng.integers(1, 3))
-    d = h * int(rng.integers(2, 4))
-    el = int(rng.integers(2, 5))
-    cfg = AttentionConfig(kind="sdpa", d_model=d, n_heads=h, ctx_len=el)
-    fn = lambda x, q, k, v, o: sdpa_forward(
-        x, AttentionParams(w_q=q, w_k=k, w_o=o, w_v=v), cfg)
-    return fn, [_t(rng, 1, el, d), _t(rng, d, d), _t(rng, d, d),
-                _t(rng, d, d), _t(rng, d, d)]
+def _attention_case(kind: str):
+    """Builder of an attention_forward case of one kind, gradient-checked
+    through the input and each weight of attention_shapes."""
+    def build(rng):
+        h = int(rng.integers(1, 3))
+        d = h * int(rng.integers(2, 4))
+        el = int(rng.integers(2, 5))
+        cfg = AttentionConfig(kind=kind, d_model=d, n_heads=h, ctx_len=el)
+        shapes = attention_shapes(cfg)
+        fn = lambda x, *ws: attention_forward(
+            x, AttentionParams(**dict(zip(shapes, ws))), cfg)
+        inputs = [_t(rng, 1, el, d)] + [_t(rng, *shape) for shape in shapes.values()]
+        return fn, inputs
+    return build
 
 
-def _case_super_forward(rng):
-    from .attention import AttentionConfig, AttentionParams, super_forward
-    h = int(rng.integers(1, 3))
-    d = h * int(rng.integers(2, 4))
-    el = int(rng.integers(2, 5))
-    cfg = AttentionConfig(kind="super", d_model=d, n_heads=h, ctx_len=el)
-    fn = lambda x, q, k, a, o: super_forward(
-        x, AttentionParams(w_q=q, w_k=k, w_o=o, w_a=a), cfg)
-    return fn, [_t(rng, 1, el, d), _t(rng, d, d), _t(rng, d, d),
-                _t(rng, el, el), _t(rng, d, d)]
-
-
-MECHANISM_CASES = {
-    "sdpa_forward": _case_sdpa_forward,
-    "super_forward": _case_super_forward,
-}
+MECHANISM_CASES = {f"attention_{kind}": _attention_case(kind) for kind in KINDS}
 
 
 @dataclass(frozen=True)
@@ -231,6 +223,10 @@ def run_suite(instances: int = 100, tol: float = 1e-4, seed: int = 0,
     default every differentiable op and both attention mechanisms. A case's
     inputs are drawn from its name, so they stay the same whatever other
     cases run beside it."""
+    if instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol}")
     if cases is None:
         cases = {**OP_CASES, **MECHANISM_CASES}
     reports = []

@@ -10,14 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, AttentionParams, attention_forward
+from .attention import (AttentionConfig, AttentionParams, attention_forward,
+                        attention_shapes)
 from .seeding import stream
 from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
                      gelu, layernorm, linear, map_chunks, matmul, maxpool2d,
                      relu, softmax_rows, transpose)
 
 __all__ = [
-    "ModelConfig", "ParameterSet", "init_params", "param_shapes",
+    "ModelConfig", "ParameterSet", "init_tensors", "init_params", "param_shapes",
     "tokenize", "encoder_block", "seq_pool", "forward", "forward_tokens",
     "chunk_work", "model_param_count",
 ]
@@ -107,27 +108,21 @@ class ParameterSet:
         return sum(t.size for t in self._named.values())
 
 
-def _attn_names(cfg: ModelConfig, i: int) -> list:
-    mid = "w_v" if cfg.attn_kind == "sdpa" else "w_a"
-    return [f"layer{i}.attn.{w}" for w in ("w_q", "w_k", mid, "w_o")]
-
-
 def param_shapes(cfg: ModelConfig) -> dict:
     """name -> shape of every parameter, in canonical order: the config fixes
     both, since W_A is ctx_len x ctx_len and every other weight is sized by
-    d_model."""
-    d, r, k, l = cfg.d_model, cfg.mlp_ratio, CONV_KERNEL, cfg.ctx_len
+    d_model. Each layer's attention entries are attention_shapes'."""
+    d, r, k = cfg.d_model, cfg.mlp_ratio, CONV_KERNEL
     shapes = {}
     cin = IN_CHANNELS
     for i in range(cfg.conv_blocks):
         shapes[f"tokenizer.conv{i}.w"] = (d, cin, k, k)
         shapes[f"tokenizer.conv{i}.b"] = (d,)
         cin = d
-    mid = (d, d) if cfg.attn_kind == "sdpa" else (l, l)
+    attn = attention_shapes(cfg.attn_config())
     for i in range(cfg.n_layers):
         shapes[f"layer{i}.ln1.g"] = shapes[f"layer{i}.ln1.b"] = (d,)
-        for name, shape in zip(_attn_names(cfg, i), ((d, d), (d, d), mid, (d, d))):
-            shapes[name] = shape
+        shapes.update((f"layer{i}.attn.{w}", shape) for w, shape in attn.items())
         shapes[f"layer{i}.ln2.g"] = shapes[f"layer{i}.ln2.b"] = (d,)
         shapes[f"layer{i}.mlp.w1"] = (d, r * d)
         shapes[f"layer{i}.mlp.b1"] = (r * d,)
@@ -144,15 +139,15 @@ def _is_norm(name: str) -> bool:
     return ".ln" in name or name.startswith("final_ln.")
 
 
-def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
-    """Every tensor of param_shapes(cfg), in its order, initialized by its
-    name and rank: Kaiming-uniform 4-d conv kernels, Xavier-uniform 2-d
-    weights, identity W_A (super attention starts as W_V-free SDPA), unit
-    layernorm gains, and zero biases and seq-pool query."""
-    rng = stream("init", seed)
-
+def init_tensors(shapes: dict, rng: np.random.Generator,
+                 dtype=np.float32) -> dict:
+    """name -> Tensor for every entry of a name -> shape table, in its order,
+    initialized by name and rank: Kaiming-uniform 4-d conv kernels,
+    Xavier-uniform 2-d weights, identity W_A (super attention starts as
+    W_V-free SDPA), unit layernorm gains, and zero biases and seq-pool
+    query. Only the random weights draw from `rng`."""
     def init(name, shape):
-        if name.endswith(".w_a"):
+        if name.rpartition(".")[2] == "w_a":
             return np.eye(shape[0])
         if len(shape) == 1:
             gain = _is_norm(name) and name.endswith(".g")
@@ -163,16 +158,13 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
         bound = math.sqrt(6.0 / fan)
         return rng.uniform(-bound, bound, size=shape)
 
-    return ParameterSet(
-        (name, Tensor(np.asarray(init(name, shape), dtype=dtype), requires_grad=True))
-        for name, shape in param_shapes(cfg).items())
+    return {name: Tensor(np.asarray(init(name, shape), dtype=dtype), requires_grad=True)
+            for name, shape in shapes.items()}
 
 
-def _layer_attn_params(params: ParameterSet, cfg: ModelConfig, i: int) -> AttentionParams:
-    q, k, mid, o = (params[n] for n in _attn_names(cfg, i))
-    if cfg.attn_kind == "sdpa":
-        return AttentionParams(w_q=q, w_k=k, w_o=o, w_v=mid)
-    return AttentionParams(w_q=q, w_k=k, w_o=o, w_a=mid)
+def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
+    """Every tensor of param_shapes(cfg), from init_tensors."""
+    return ParameterSet(init_tensors(param_shapes(cfg), stream("init", seed), dtype))
 
 
 def tokenize(images: Tensor, params: ParameterSet, cfg: ModelConfig) -> Tensor:
@@ -207,11 +199,12 @@ def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
     if x.ndim != 3 or x.shape[1] != cfg.ctx_len or x.shape[2] != cfg.d_model:
         raise ShapeError(f"encoder_block: input {x.shape} does not match "
                          f"(B, {cfg.ctx_len}, {cfg.d_model})")
-    i = layer_idx
+    i, acfg = layer_idx, cfg.attn_config()
+    weights = {w: params[f"layer{i}.attn.{w}"] for w in attention_shapes(acfg)}
     a = attention_forward(
         layernorm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"],
                   LAYERNORM_EPS),
-        _layer_attn_params(params, cfg, i), cfg.attn_config())
+        AttentionParams(**weights), acfg)
     x = x + _branch_dropout(a, cfg, training, dropout_seed, chunk, i, 0)
     h = layernorm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"],
                   LAYERNORM_EPS)

@@ -17,9 +17,8 @@ from cct.attention import (
     AttentionConfig,
     AttentionParams,
     attention_flops,
+    attention_forward,
     attention_param_count,
-    sdpa_forward,
-    super_forward,
 )
 from cct.bench import bench_attention, crossover_warnings
 from cct.checkpoint import load_checkpoint
@@ -86,8 +85,8 @@ def test_criterion_02_attention_equivalence():
         p_sdp = AttentionParams(w_q=Tensor(w_q), w_k=Tensor(w_k),
                                 w_o=Tensor(w_o), w_v=Tensor(eye_d))
         with no_grad():
-            y_sup = super_forward(x, p_sup, AttentionConfig("super", d, h, ctx))
-            y_sdp = sdpa_forward(x, p_sdp, AttentionConfig("sdpa", d, h, ctx))
+            y_sup = attention_forward(x, p_sup, AttentionConfig("super", d, h, ctx))
+            y_sdp = attention_forward(x, p_sdp, AttentionConfig("sdpa", d, h, ctx))
         worst = max(worst, float(np.max(np.abs(y_sup.data - y_sdp.data))))
     _report(2, worst < 1e-6,
             f"W_A=I vs W_V=I over 1000 instances (l,d <= 64), "
@@ -120,8 +119,8 @@ def test_criterion_03_permutation_properties():
     p2 = AttentionParams(w_q=w["q"], w_k=w["k"], w_o=w["o"],
                          w_a=Tensor(pm.T @ w_a @ pm))
     with no_grad():
-        lhs = super_forward(Tensor(np.einsum("ij,bjd->bid", pm, x)), p1, acfg).data
-        rhs = np.einsum("ij,bjd->bid", pm, super_forward(Tensor(x), p2, acfg).data)
+        lhs = attention_forward(Tensor(np.einsum("ij,bjd->bid", pm, x)), p1, acfg).data
+        rhs = np.einsum("ij,bjd->bid", pm, attention_forward(Tensor(x), p2, acfg).data)
     conj_diff = float(np.max(np.abs(lhs - rhs)))
 
     # (c) trained W_A: concrete permutation counterexample

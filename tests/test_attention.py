@@ -6,13 +6,13 @@ from cct.attention import (
     AttentionConfig,
     AttentionParams,
     attention_flops,
+    attention_forward,
     attention_param_count,
     attention_scores,
-    init_attention_params,
-    sdpa_forward,
-    super_forward,
+    attention_shapes,
 )
 from cct.gradcheck import grad_check
+from cct.model import init_tensors
 from cct.tensor import ConfigError, ShapeError, Tensor
 
 from oracles import naive_sdpa, naive_super_attention
@@ -20,6 +20,10 @@ from oracles import naive_sdpa, naive_super_attention
 
 def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
+
+
+def init_attention(cfg, rng):
+    return AttentionParams(**init_tensors(attention_shapes(cfg), rng))
 
 
 def rand_params(cfg, seed, dtype=np.float64):
@@ -60,33 +64,33 @@ def test_config_validation():
 
 def test_init_shapes_and_identity_mixing():
     cfg = AttentionConfig(kind="super", d_model=8, n_heads=2, ctx_len=5)
-    p = init_attention_params(cfg, np.random.default_rng(0))
+    p = init_attention(cfg, np.random.default_rng(0))
     assert p.w_v is None and p.w_a is not None
     npt.assert_array_equal(p.w_a.data, np.eye(5, dtype=np.float32))
     for t in (p.w_q, p.w_k, p.w_o):
         assert t.shape == (8, 8) and t.requires_grad
 
     cfg2 = AttentionConfig(kind="sdpa", d_model=8, n_heads=2, ctx_len=5)
-    p2 = init_attention_params(cfg2, np.random.default_rng(0))
+    p2 = init_attention(cfg2, np.random.default_rng(0))
     assert p2.w_a is None and p2.w_v is not None
 
 
 def test_init_deterministic():
     cfg = AttentionConfig(kind="sdpa", d_model=8, n_heads=2, ctx_len=4)
-    a = init_attention_params(cfg, np.random.default_rng(3))
-    b = init_attention_params(cfg, np.random.default_rng(3))
+    a = init_attention(cfg, np.random.default_rng(3))
+    b = init_attention(cfg, np.random.default_rng(3))
     npt.assert_array_equal(a.w_q.data, b.w_q.data)
     npt.assert_array_equal(a.w_o.data, b.w_o.data)
 
 
 # ---------------------------------------------------------------------------
-# sdpa_forward
+# attention_forward, sdpa
 # ---------------------------------------------------------------------------
 
 def test_sdpa_single_token_identity_weights():
     cfg = AttentionConfig(kind="sdpa", d_model=4, n_heads=1, ctx_len=1)
     x = t64(np.random.default_rng(0).normal(size=(2, 1, 4)))
-    y = sdpa_forward(x, identity_params(cfg), cfg)
+    y = attention_forward(x, identity_params(cfg), cfg)
     npt.assert_allclose(y.data, x.data, rtol=1e-12)
 
 
@@ -94,7 +98,7 @@ def test_sdpa_identical_tokens_identical_rows():
     cfg = AttentionConfig(kind="sdpa", d_model=6, n_heads=2, ctx_len=3)
     row = np.random.default_rng(1).normal(size=6)
     x = t64(np.tile(row, (1, 3, 1)))
-    y = sdpa_forward(x, rand_params(cfg, 2), cfg)
+    y = attention_forward(x, rand_params(cfg, 2), cfg)
     npt.assert_allclose(y.data[0, 0], y.data[0, 1], rtol=1e-12)
     npt.assert_allclose(y.data[0, 0], y.data[0, 2], rtol=1e-12)
 
@@ -104,7 +108,7 @@ def test_sdpa_matches_bruteforce_oracle():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 2, 2))
     p = rand_params(cfg, 5)
-    got = sdpa_forward(t64(x), p, cfg)
+    got = attention_forward(t64(x), p, cfg)
     want = naive_sdpa(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, n_heads=1)
     npt.assert_allclose(got.data, want, rtol=1e-10)
 
@@ -115,7 +119,7 @@ def test_sdpa_matches_oracle_multihead(d, h, el):
     rng = np.random.default_rng(d * 100 + el)
     x = rng.normal(size=(3, el, d))
     p = rand_params(cfg, d + el)
-    got = sdpa_forward(t64(x), p, cfg)
+    got = attention_forward(t64(x), p, cfg)
     want = naive_sdpa(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, n_heads=h)
     npt.assert_allclose(got.data, want, rtol=1e-9, atol=1e-12)
 
@@ -124,13 +128,13 @@ def test_sdpa_rejects_wrong_dims():
     cfg = AttentionConfig(kind="sdpa", d_model=8, n_heads=2, ctx_len=4)
     p = rand_params(cfg, 0)
     with pytest.raises(ShapeError):
-        sdpa_forward(t64(np.zeros((1, 5, 8))), p, cfg)
+        attention_forward(t64(np.zeros((1, 5, 8))), p, cfg)
     with pytest.raises(ShapeError):
-        sdpa_forward(t64(np.zeros((1, 4, 6))), p, cfg)
+        attention_forward(t64(np.zeros((1, 4, 6))), p, cfg)
 
 
 # ---------------------------------------------------------------------------
-# super_forward
+# attention_forward, super
 # ---------------------------------------------------------------------------
 
 def test_super_matches_oracle():
@@ -138,7 +142,7 @@ def test_super_matches_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 5, 8))
     p = rand_params(cfg, 8)
-    got = super_forward(t64(x), p, cfg)
+    got = attention_forward(t64(x), p, cfg)
     want = naive_super_attention(x, p.w_q.data, p.w_k.data, p.w_a.data,
                                  p.w_o.data, n_heads=2)
     npt.assert_allclose(got.data, want, rtol=1e-9, atol=1e-12)
@@ -153,8 +157,8 @@ def test_super_identity_mixing_equals_sdpa_identity_values():
     sp.w_a = t64(np.eye(6))
     dp = AttentionParams(w_q=sp.w_q, w_k=sp.w_k, w_o=sp.w_o, w_v=t64(np.eye(16)))
     x = t64(rng.normal(size=(2, 6, 16)))
-    npt.assert_allclose(super_forward(x, sp, scfg).data,
-                        sdpa_forward(x, dp, dcfg).data, atol=1e-6)
+    npt.assert_allclose(attention_forward(x, sp, scfg).data,
+                        attention_forward(x, dp, dcfg).data, atol=1e-6)
 
 
 def test_super_mean_mixing_all_rows_identical():
@@ -164,7 +168,7 @@ def test_super_mean_mixing_all_rows_identical():
     p = rand_params(cfg, 11)
     p.w_a = t64(np.full((4, 4), 0.25))
     x = t64(np.random.default_rng(12).normal(size=(2, 4, 8)))
-    y = super_forward(x, p, cfg).data
+    y = attention_forward(x, p, cfg).data
     for i in range(1, 4):
         npt.assert_allclose(y[:, i], y[:, 0], atol=1e-6)
 
@@ -172,7 +176,7 @@ def test_super_mean_mixing_all_rows_identical():
 def test_super_single_token_identity():
     cfg = AttentionConfig(kind="super", d_model=4, n_heads=1, ctx_len=1)
     x = t64(np.random.default_rng(13).normal(size=(3, 1, 4)))
-    y = super_forward(x, identity_params(cfg), cfg)
+    y = attention_forward(x, identity_params(cfg), cfg)
     npt.assert_allclose(y.data, x.data, rtol=1e-12)
 
 
@@ -180,7 +184,10 @@ def test_super_rejects_other_context_length():
     cfg = AttentionConfig(kind="super", d_model=8, n_heads=2, ctx_len=4)
     p = rand_params(cfg, 0)
     with pytest.raises(ShapeError):
-        super_forward(t64(np.zeros((1, 6, 8))), p, cfg)
+        attention_forward(t64(np.zeros((1, 6, 8))), p, cfg)
+    p.w_a = t64(np.eye(6))  # a W_A for another context length
+    with pytest.raises(ShapeError, match="w_a"):
+        attention_forward(t64(np.zeros((1, 4, 8))), p, cfg)
 
 
 def test_forwards_reject_missing_weights():
@@ -188,12 +195,12 @@ def test_forwards_reject_missing_weights():
     p = rand_params(cfg, 0)
     p.w_a = None
     with pytest.raises(ConfigError):
-        super_forward(t64(np.zeros((1, 4, 8))), p, cfg)
+        attention_forward(t64(np.zeros((1, 4, 8))), p, cfg)
     dcfg = AttentionConfig(kind="sdpa", d_model=8, n_heads=2, ctx_len=4)
     dp = rand_params(dcfg, 0)
     dp.w_v = None
     with pytest.raises(ConfigError):
-        sdpa_forward(t64(np.zeros((1, 4, 8))), dp, dcfg)
+        attention_forward(t64(np.zeros((1, 4, 8))), dp, dcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +213,8 @@ def test_sdpa_is_permutation_equivariant():
     x = rng.normal(size=(2, 6, 8))
     p = rand_params(cfg, 21)
     perm = rng.permutation(6)
-    y = sdpa_forward(t64(x), p, cfg).data
-    y_p = sdpa_forward(t64(x[:, perm, :]), p, cfg).data
+    y = attention_forward(t64(x), p, cfg).data
+    y_p = attention_forward(t64(x[:, perm, :]), p, cfg).data
     npt.assert_allclose(y_p, y[:, perm, :], atol=1e-5)
 
 
@@ -220,11 +227,11 @@ def test_super_conjugation_identity():
     perm = rng.permutation(6)
     pmat = np.eye(6)[perm]  # (Px)[i] = x[perm[i]]
 
-    left = super_forward(t64(x[:, perm, :]), p, cfg).data
+    left = attention_forward(t64(x[:, perm, :]), p, cfg).data
 
     conj = AttentionParams(w_q=p.w_q, w_k=p.w_k, w_o=p.w_o,
                            w_a=t64(pmat.T @ p.w_a.data @ pmat))
-    right = super_forward(t64(x), conj, cfg).data[:, perm, :]
+    right = attention_forward(t64(x), conj, cfg).data[:, perm, :]
     npt.assert_allclose(left, right, atol=1e-5)
 
 
@@ -234,8 +241,8 @@ def test_super_nonidentity_mixing_breaks_equivariance():
     x = rng.normal(size=(1, 6, 8))
     p = rand_params(cfg, 25)  # generic non-identity W_A
     perm = np.roll(np.arange(6), 1)
-    y = super_forward(t64(x), p, cfg).data
-    y_p = super_forward(t64(x[:, perm, :]), p, cfg).data
+    y = attention_forward(t64(x), p, cfg).data
+    y_p = attention_forward(t64(x[:, perm, :]), p, cfg).data
     assert np.abs(y_p - y[:, perm, :]).max() > 1e-3
 
 
@@ -293,7 +300,7 @@ def test_param_count_matches_allocation():
         d = h * int(rng.integers(1, 9))
         cfg = AttentionConfig(kind=rng.choice(["sdpa", "super"]), d_model=d,
                               n_heads=h, ctx_len=int(rng.integers(1, 17)))
-        p = init_attention_params(cfg, rng)
+        p = init_attention(cfg, rng)
         allocated = sum(t.size for t in vars(p).values() if t is not None)
         assert attention_param_count(cfg) == allocated, cfg
 
@@ -337,7 +344,7 @@ def test_sdpa_gradcheck_all_inputs():
     rng = np.random.default_rng(30)
     x = t64(rng.normal(size=(2, 3, 6)))
     p = rand_params(cfg, 31)
-    fn = lambda x_, q, k, v, o: sdpa_forward(
+    fn = lambda x_, q, k, v, o: attention_forward(
         x_, AttentionParams(w_q=q, w_k=k, w_o=o, w_v=v), cfg)
     res = grad_check(fn, [x, p.w_q, p.w_k, p.w_v, p.w_o], tol=1e-4)
     assert res.ok, res
@@ -348,7 +355,7 @@ def test_super_gradcheck_all_inputs():
     rng = np.random.default_rng(32)
     x = t64(rng.normal(size=(2, 3, 6)))
     p = rand_params(cfg, 33)
-    fn = lambda x_, q, k, a, o: super_forward(
+    fn = lambda x_, q, k, a, o: attention_forward(
         x_, AttentionParams(w_q=q, w_k=k, w_o=o, w_a=a), cfg)
     res = grad_check(fn, [x, p.w_q, p.w_k, p.w_a, p.w_o], tol=1e-4)
     assert res.ok, res

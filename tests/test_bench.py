@@ -30,11 +30,11 @@ def test_bench_row_count_and_flops():
 def test_bench_fwd_bwd_writes_no_grad(monkeypatch):
     """The timed backward returns its gradients: no weight's .grad grows
     over the timed iterations."""
-    made, real = [], cct.bench.init_attention_params
-    monkeypatch.setattr(cct.bench, "init_attention_params",
+    made, real = [], cct.bench.init_tensors
+    monkeypatch.setattr(cct.bench, "init_tensors",
                         lambda *a, **k: made.append(real(*a, **k)) or made[-1])
     bench_attention([8], [4], iters=10, warmup=5)
-    weights = [w for p in made for w in vars(p).values() if w is not None]
+    weights = [w for ws in made for w in ws.values()]
     assert len(made) == 2 and len(weights) == 8
     assert all(w.grad is None for w in weights)
 

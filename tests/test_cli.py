@@ -181,12 +181,37 @@ def test_bench_command(capsys):
     assert lines[0].startswith("kind,d,ctx")
 
 
+@pytest.mark.parametrize("dims,ctx,refused", [("", "4", "--dims"), (",", "4", "--dims"),
+                                              ("8", " , ", "--ctx")])
+def test_bench_refuses_an_empty_list(dims, ctx, refused, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dims", dims, "--ctx", ctx, "--iters", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {refused}: expected one or more" in captured.err
+
+
 def test_gradcheck_command_passes(capsys):
     rc = main(["gradcheck", "--instances", "2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "gelu" in out and "super_forward" in out
+    assert "gelu" in out and "attention_sdpa" in out and "attention_super" in out
     assert "FAIL" not in out
+    assert out.strip().endswith("15/15 ops passed at tol 0.0001")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--instances", "0"], "instances must be >= 1, got 0"),
+    (["--instances", "-3"], "instances must be >= 1, got -3"),
+    (["--tol", "0"], "tol must be a finite number > 0, got 0.0"),
+    (["--tol=-1e-4"], "tol must be a finite number > 0, got -0.0001"),
+    (["--tol", "nan"], "tol must be a finite number > 0, got nan"),
+    (["--tol", "inf"], "tol must be a finite number > 0, got inf"),
+])
+def test_gradcheck_that_would_check_nothing_is_one_line(argv, line, capsys):
+    assert _refusal(["gradcheck", *argv]) == f"cct gradcheck: {line}"
+    assert capsys.readouterr().out == ""
 
 
 def test_gradcheck_command_detects_broken_backward(monkeypatch, capsys):
