@@ -32,7 +32,7 @@ def full_step(run: RunConfig) -> dict:
     batch = next(iter(batch_iter(records, run.batch_size, run.seed,
                                  compute_norm_stats(records), run.augment)))
     t0 = time.perf_counter()
-    loss, _, grads = train_step(params, cfg, batch, 0)
+    loss, _, grads = train_step(params, cfg, batch)
     adamw_step(params, grads, state, run.hyperparams())
     seconds = time.perf_counter() - t0
     return {"loss": loss, "s_per_step": seconds,

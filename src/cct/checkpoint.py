@@ -2,9 +2,9 @@
 
 Layout (all integers little-endian):
     magic   4 bytes  b"CCTS"
-    version u32      currently 4; others are refused (1 had six more model
+    version u32      currently 5; others are refused (1 had six more model
                      keys, 2 one more optimizer key, 3 a name, dtype code
-                     and dims before each tensor)
+                     and dims before each tensor, 4 a dropout_p model key)
     hlen    u32      length of the JSON header
     header  hlen bytes of UTF-8 JSON: an object of exactly six keys, the
                      model config, optimizer hyperparameters, seed, epoch,
@@ -37,7 +37,7 @@ from .optim import AdamWHyperParams, AdamWState
 from .tensor import Tensor
 
 MAGIC = b"CCTS"
-VERSION = 4
+VERSION = 5
 
 
 class CheckpointError(ValueError):

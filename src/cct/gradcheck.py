@@ -157,12 +157,6 @@ def _case_layernorm(rng):
     return fn, [_t(rng, 2, 3, d), _t(rng, d), _t(rng, d)]
 
 
-def _case_dropout(rng):
-    seed = int(rng.integers(0, 2**31))
-    fn = lambda x: T.dropout(x, 0.3, np.random.default_rng(seed))
-    return fn, [_t(rng, 4, 5)]
-
-
 def _case_cross_entropy(rng):
     b, c = int(rng.integers(2, 5)), int(rng.integers(3, 7))
     labels = rng.integers(0, c, size=b)
@@ -181,7 +175,6 @@ OP_CASES = {
     "gelu": _case_gelu,
     "softmax_rows": _case_softmax,
     "layernorm": _case_layernorm,
-    "dropout": _case_dropout,
     "cross_entropy": _case_cross_entropy,
 }
 

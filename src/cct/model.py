@@ -13,9 +13,9 @@ import numpy as np
 from .attention import (AttentionConfig, AttentionParams, attention_forward,
                         attention_shapes)
 from .seeding import stream
-from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, dropout,
-                     gelu, layernorm, linear, map_chunks, matmul, maxpool2d,
-                     relu, softmax_rows, transpose)
+from .tensor import (CHUNK, ConfigError, ShapeError, Tensor, conv2d, gelu,
+                     layernorm, linear, map_chunks, matmul, maxpool2d, relu,
+                     softmax_rows, transpose)
 
 __all__ = [
     "ModelConfig", "ParameterSet", "init_tensors", "init_params", "param_shapes",
@@ -43,7 +43,6 @@ class ModelConfig:
     n_heads: int = 4
     mlp_ratio: int = 2
     conv_blocks: int = 1
-    dropout_p: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.img_size % POOL_STRIDE ** self.conv_blocks:
             raise ConfigError(f"img_size={self.img_size} is not divisible by "
                               f"{POOL_STRIDE}^conv_blocks="
@@ -185,17 +182,8 @@ def tokenize(images: Tensor, params: ParameterSet, cfg: ModelConfig) -> Tensor:
     return tokens
 
 
-def _branch_dropout(x: Tensor, cfg: ModelConfig, training: bool, dropout_seed: int,
-                    chunk: int, layer_idx: int, branch: int) -> Tensor:
-    if not training or cfg.dropout_p == 0.0:
-        return x
-    return dropout(x, cfg.dropout_p,
-                   stream("dropout", cfg.seed, dropout_seed, chunk, layer_idx, branch))
-
-
 def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
-                  layer_idx: int, training: bool = False,
-                  dropout_seed: int = 0, chunk: int = 0) -> Tensor:
+                  layer_idx: int) -> Tensor:
     if x.ndim != 3 or x.shape[1] != cfg.ctx_len or x.shape[2] != cfg.d_model:
         raise ShapeError(f"encoder_block: input {x.shape} does not match "
                          f"(B, {cfg.ctx_len}, {cfg.d_model})")
@@ -205,12 +193,12 @@ def encoder_block(x: Tensor, params: ParameterSet, cfg: ModelConfig,
         layernorm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"],
                   LAYERNORM_EPS),
         AttentionParams(**weights), acfg)
-    x = x + _branch_dropout(a, cfg, training, dropout_seed, chunk, i, 0)
+    x = x + a
     h = layernorm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"],
                   LAYERNORM_EPS)
     m = linear(gelu(linear(h, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])),
                params[f"layer{i}.mlp.w2"], params[f"layer{i}.mlp.b2"])
-    return x + _branch_dropout(m, cfg, training, dropout_seed, chunk, i, 1)
+    return x + m
 
 
 def seq_pool(x: Tensor, g: Tensor) -> Tensor:
@@ -222,13 +210,11 @@ def seq_pool(x: Tensor, g: Tensor) -> Tensor:
     return matmul(softmax_rows(scores), x).reshape(b, d)
 
 
-def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig,
-                   training: bool = False, dropout_seed: int = 0,
-                   chunk: int = 0) -> Tensor:
-    """Encoder stack, seq pool and head over one graph; `chunk` keys dropout."""
+def forward_tokens(tokens: Tensor, params: ParameterSet, cfg: ModelConfig) -> Tensor:
+    """Encoder stack, seq pool and head over one graph."""
     x = tokens
     for i in range(cfg.n_layers):
-        x = encoder_block(x, params, cfg, i, training, dropout_seed, chunk)
+        x = encoder_block(x, params, cfg, i)
     x = layernorm(x, params["final_ln.g"], params["final_ln.b"], LAYERNORM_EPS)
     pooled = seq_pool(x, params["seqpool.g"])
     return linear(pooled, params["head.w"], params["head.b"])
@@ -243,12 +229,12 @@ def forward(images: Tensor, params: ParameterSet, cfg: ModelConfig,
             training: bool = False, dropout_seed: int = 0) -> Tensor:
     """Logits for a batch, one graph per CHUNK images on the chunk pool.
 
-    Dropout masks are keyed by (cfg.seed, dropout_seed, chunk, layer, branch),
-    so they depend on the batch and not on the number of cores.
+    `training` and `dropout_seed` do nothing: the model has no dropout. They
+    are kept only because perfbench's harness passes them, and ROADMAP item
+    2 deletes them.
     """
-    def chunk_logits(x, c):
-        return forward_tokens(tokenize(x, params, cfg), params, cfg,
-                              training, dropout_seed, c)
+    def chunk_logits(x):
+        return forward_tokens(tokenize(x, params, cfg), params, cfg)
 
     return map_chunks(chunk_logits, images, params.tensors(), chunk_work(cfg))
 

@@ -6,6 +6,7 @@ estimates. There is no scheduling and no gradient clipping anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,13 @@ class AdamWHyperParams:
     weight_decay: float = 0.01
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError("lr and eps must be positive")
+        # written so that a NaN, which fails every comparison, is refused too
+        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):
+            raise ConfigError("lr and eps must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("betas must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
 
 
 @dataclass

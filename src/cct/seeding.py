@@ -1,7 +1,7 @@
 """Named deterministic RNG streams.
 
 Every source of randomness draws from its own PCG64 stream keyed by a
-stream tag plus integer context (seed, epoch, layer, ...), so
+stream tag plus integer context (seed, epoch, ...), so
 adding draws to one consumer never shifts another's sequence.
 """
 from __future__ import annotations
@@ -12,8 +12,7 @@ _STREAM_TAGS = {
     "init": 1,
     "shuffle": 2,
     "augment": 3,
-    "dropout": 4,
-    "synthetic": 5,
+    "synthetic": 5,  # 4 is retired: each tag keeps its number, so each stream its bytes
 }
 
 

@@ -427,7 +427,7 @@ def sum_chunks(fn, n: int, work: int, k: int):
 def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
     """fn over CHUNK-sample slices of x, concatenated, as one op on (x, *params).
 
-    fn(x_chunk, c) builds chunk c's graph from x_chunk and params, which must
+    fn(x_chunk) builds a chunk's graph from x_chunk and params, which must
     be leaves; the chunks run through run_chunks (work: activation elements
     per chunk). A chunk graph keeps only its output's array and what its
     rules bind. The rule runs each chunk's sweep the same way and sums the
@@ -440,7 +440,7 @@ def map_chunks(fn, x: Tensor, params, work: int) -> Tensor:
 
     def forward(c):
         xc = Tensor(x.data[_rows(c)], requires_grad=need_dx)
-        return xc, fn(xc, c)
+        return xc, fn(xc)
 
     chunks = run_chunks(forward, _n_chunks(n), work)
     out = np.concatenate([y.data for _, y in chunks])
@@ -778,22 +778,8 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dropout / cross entropy
+# cross entropy
 # ---------------------------------------------------------------------------
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with 0 <= p < 1: each element is kept with
-    probability 1 - p, by a draw from rng, and scaled by 1 / (1 - p)."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout: p must be in [0, 1), got {p}")
-    r = rng.random(x.shape)
-    mask = (r >= p).astype(x.data.dtype) * (1.0 / (1.0 - p))
-
-    def rule(g):
-        return (g * mask,)
-
-    return _record("dropout", x.data * mask, (x,), rule)
-
 
 def checked_labels(labels, shape) -> np.ndarray:
     """labels as an array of class ids for (batch, classes) logits of shape."""

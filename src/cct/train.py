@@ -1,7 +1,7 @@
 """Training and evaluation driver.
 
 Everything a run does is a pure function of (config, seed, dataset bytes):
-batch order, augmentation, dropout, and initialization all draw from named
+batch order, augmentation and initialization all draw from named
 streams keyed by the run seed, so a resumed run continues the exact
 trajectory of an uninterrupted one.
 """
@@ -72,11 +72,11 @@ def _check_finite(loss: float, grads, epoch: int, step: int) -> None:
             raise NonFiniteError(f"{where}: the gradient of {name} is not finite")
 
 
-def train_step(params, cfg: ModelConfig, batch, step: int):
+def train_step(params, cfg: ModelConfig, batch):
     """One train step without the update: (loss, logits, {name: gradient})
-    in canonical order, with dropout keyed by `step`. The gradients come back
-    in that dict only (no parameter's .grad is set), so nothing of the step
-    is held once the caller drops what it returned.
+    in canonical order. The gradients come back in that dict only (no
+    parameter's .grad is set), so nothing of the step is held once the
+    caller drops what it returned.
 
     Each chunk runs its forward, its rows of the loss gradient and its
     reverse sweep as one task on a pool worker, so at most one chunk graph
@@ -88,10 +88,9 @@ def train_step(params, cfg: ModelConfig, batch, step: int):
     labels = checked_labels(batch.labels, (n, cfg.n_classes))
     leaves = params.tensors()
 
-    def chunk(c, rows):
+    def chunk(_, rows):
         logits = forward_tokens(tokenize(Tensor(images[rows]), params, cfg),
-                                params, cfg, training=True, dropout_seed=step,
-                                chunk=c)
+                                params, cfg)
         z, y = logits.data, labels[rows]
         losses, soft = xent_rows(z, y)
         # backward seeds the mean loss with ones_like(loss), scaled by 1/n
@@ -162,7 +161,7 @@ def evaluate_params(params, cfg: ModelConfig, records, norm,
     total, loss_sum, top1_sum, top5_sum = 0, 0.0, 0.0, 0.0
     with no_grad():
         for batch in batch_iter(records, batch_size, 0, norm, False):
-            logits = forward(batch.images, params, cfg, training=False)
+            logits = forward(batch.images, params, cfg)
             b = len(batch.labels)
             loss_sum += cross_entropy(logits, batch.labels).item() * b
             t1, t5 = _batch_metrics(logits.data, batch.labels, cfg.n_classes)
@@ -171,6 +170,15 @@ def evaluate_params(params, cfg: ModelConfig, records, norm,
             total += b
     return {"loss": loss_sum / total, "top1": top1_sum / total,
             "top5": top5_sum / total}
+
+
+def _check_labels(splits, names, n_classes: int) -> None:
+    """Refuse a split with a fine label that the model has no class for."""
+    for name in names:
+        labels = splits[name].array["fine_label"]
+        if labels.max() >= n_classes:  # load_cifar100 refuses an empty split
+            raise ConfigError(f"the {name} split has fine label {labels.max()}, "
+                              f"but the model has n_classes = {n_classes}")
 
 
 def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
@@ -207,6 +215,7 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         start_epoch = 0
     # a refused data directory raises before anything is created or dropped
     splits = load_cifar100(data_dir)
+    _check_labels(splits, ("train", "test"), cfg.n_classes)
     train_records, val_records = splits["train"], splits["test"]
     norm = cached_norm_stats(
         train_records, os.path.join(os.fspath(data_dir), "norm_stats.txt"))
@@ -222,7 +231,7 @@ def train(run: RunConfig, data_dir, out_dir, resume_from=None, log=None):
         total, loss_sum, top1_sum, top5_sum = 0, 0.0, 0.0, 0.0
         for batch in batch_iter(train_records, run.batch_size, run.seed,
                                 norm, run.augment, epoch=epoch):
-            loss, logits, grads = train_step(params, cfg, batch, step)
+            loss, logits, grads = train_step(params, cfg, batch)
             # before the update, so params, state and checkpoints stay as they were
             try:
                 _check_finite(loss, grads, epoch, step)
@@ -270,6 +279,7 @@ def evaluate(checkpoint_path, data_dir, split: str, batch_size: int = 256):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     ck = load_checkpoint(checkpoint_path)
     splits = load_cifar100(data_dir)
+    _check_labels(splits, (split,), ck.cfg.n_classes)
     norm = cached_norm_stats(
         splits["train"], os.path.join(os.fspath(data_dir), "norm_stats.txt"))
     return evaluate_params(ck.params, ck.cfg, splits[split], norm, batch_size)
@@ -300,7 +310,7 @@ def overfit(n: int = 64, steps: int = 300, seed: int = 0,
     history = []
     reached_at = None
     for step in range(steps):
-        loss, logits, grads = train_step(params, cfg, batch, step)
+        loss, logits, grads = train_step(params, cfg, batch)
         _check_finite(loss, grads, 0, step)
         top1 = topk_accuracy(logits, batch.labels, 1)
         history.append((loss, top1))

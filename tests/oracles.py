@@ -346,11 +346,11 @@ def ref_norm_stats(pixels, block=128):
     return mean, np.where(std < 1e-8, 1.0, std)
 
 
-def ref_train_step(params, cfg, batch, step):
+def ref_train_step(params, cfg, batch):
     """(loss, logits, {name: gradient}) of one train step from one plain
     graph per CHUNK rows, built and swept on the calling thread: chunk c's
-    forward_tokens(tokenize(...)) with dropout keyed by (step, c), the sweep
-    of its rows' cross_entropy seeded with n_c / B, and the chunks' gradients
+    forward_tokens(tokenize(...)), the sweep of its rows' cross_entropy
+    seeded with n_c / B, and the chunks' gradients
     summed in chunk order. The seed is that chunk's share of the batch mean:
     cross_entropy divides it by n_c, which is exact when n_c is a power of
     two, as are chunks of 4, 4 and 2."""
@@ -358,10 +358,9 @@ def ref_train_step(params, cfg, batch, step):
     n = len(images)
     leaves = params.tensors()
     logits, sums = [], None
-    for c, lo in enumerate(range(0, n, CHUNK)):
+    for lo in range(0, n, CHUNK):
         rows = slice(lo, lo + CHUNK)
-        z = forward_tokens(tokenize(Tensor(images[rows]), params, cfg), params, cfg,
-                           training=True, dropout_seed=step, chunk=c)
+        z = forward_tokens(tokenize(Tensor(images[rows]), params, cfg), params, cfg)
         seed = np.full((), len(z.data), z.data.dtype) / n
         grads = gradients(cross_entropy(z, labels[rows]), seed, leaves)
         sums = grads if sums is None else [a + g for a, g in zip(sums, grads)]

@@ -230,8 +230,7 @@ def test_criterion_07_smoke_training(tmp_path):
 
 def test_criterion_08_determinism(tiny_data, tmp_path):
     run2 = RunConfig(d_model=32, n_layers=1, n_heads=2, epochs=2,
-                     batch_size=32, seed=3, augment=True, dropout_p=0.1,
-                     eval_batch_size=64)
+                     batch_size=32, seed=3, augment=True, eval_batch_size=64)
     run1 = dataclasses.replace(run2, epochs=1)
 
     res_full = train(run2, tiny_data, tmp_path / "full")

@@ -107,13 +107,12 @@ def _rewrite_header(path, edit):
 
 
 def _save_with_optimizer(path):
-    cfg = dataclasses.replace(CFG, dropout_p=0.25)
-    params = init_params(cfg, seed=3)
-    save_checkpoint(path, cfg, params, seed=3, epoch=1,
+    params = init_params(CFG, seed=3)
+    save_checkpoint(path, CFG, params, seed=3, epoch=1,
                     hp=AdamWHyperParams(lr=0.005), opt_state=init_adamw_state(params))
 
 
-@pytest.mark.parametrize("section,key", [("model", "dropout_p"),
+@pytest.mark.parametrize("section,key", [("model", "n_heads"),
                                          ("optimizer", "lr")])
 def test_rejects_header_missing_a_key(tmp_path, section, key):
     path = tmp_path / "ck.bin"
@@ -280,6 +279,20 @@ def test_rejects_header_config_that_fails_validation(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key,value", [("lr", float("nan")), ("eps", float("inf")),
+                                       ("weight_decay", float("nan"))])
+def test_rejects_header_optimizer_setting_that_is_not_finite(tmp_path, key, value):
+    """JSON as Python reads it takes NaN and Infinity, so a header can carry
+    them; an eps of inf would zero every update and a NaN lr would show only
+    as a non-finite step later."""
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["optimizer"].update({key: value}))
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: header "
+                                              rf"AdamWHyperParams is not valid: .*{key}"):
+        load_checkpoint(path)
+
+
 def test_rejects_version_1(tmp_path):
     # a version-1 header also carried in_channels, conv_kernel, pool_kernel,
     # pool_stride, pool_pad and layernorm_eps
@@ -317,6 +330,18 @@ def test_rejects_version_3(tmp_path):
     raw[4:8] = struct.pack("<I", 3)
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version 3"):
+        load_checkpoint(path)
+
+
+def test_rejects_version_4(tmp_path):
+    # a version-4 header's model object also carried dropout_p
+    path = tmp_path / "ck.bin"
+    _save_with_optimizer(path)
+    _rewrite_header(path, lambda h: h["model"].update(dropout_p=0.0))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 4"):
         load_checkpoint(path)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from cct import tensor
-from cct.tensor import (Tensor, add, conv2d, cross_entropy, dropout, gelu,
-                        layernorm, linear, map_chunks, matmul, maxpool2d,
-                        no_grad, relu, reshape, softmax_rows, transpose)
+from cct.tensor import (Tensor, add, conv2d, cross_entropy, gelu, layernorm,
+                        linear, map_chunks, matmul, maxpool2d, no_grad, relu,
+                        reshape, softmax_rows, transpose)
 
 from oracles import (ref_add, ref_conv2d, ref_gelu, ref_layernorm, ref_linear,
                      ref_matmul, ref_maxpool2d, ref_relu, ref_softmax_rows)
@@ -230,10 +230,9 @@ def _release_case(name, rng):
         "conv2d": ((lambda x, w, b: conv2d(x, w, b, stride=1, pad=1)),
                    [image, f32(rng, 6, 3, 3, 3), f32(rng, 6)]),
         "maxpool2d": ((lambda x: maxpool2d(x, k=3, stride=2, pad=1)), [image]),
-        "dropout": ((lambda x: dropout(x, 0.5, np.random.default_rng(0))), [a]),
         "cross_entropy": ((lambda z: cross_entropy(z, np.array([0, 3, 1]))),
                           [f32(rng, 3, 5)]),
-        "chunks": ((lambda x, w: map_chunks(lambda xc, c: gelu(linear(xc, w)),
+        "chunks": ((lambda x, w: map_chunks(lambda xc: gelu(linear(xc, w)),
                                             x, [w], work=1)),
                    [f32(rng, 6, 5), f32(rng, 5, 4)]),
     }[name]
@@ -241,7 +240,7 @@ def _release_case(name, rng):
 
 RELEASE_CASES = ["add", "reshape", "transpose", "matmul", "linear",
                  "linear_nobias", "relu", "gelu", "softmax_rows", "layernorm",
-                 "conv2d", "maxpool2d", "dropout", "cross_entropy", "chunks"]
+                 "conv2d", "maxpool2d", "cross_entropy", "chunks"]
 
 
 def test_release_cases_cover_every_op_that_records():

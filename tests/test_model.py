@@ -46,8 +46,6 @@ def test_config_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         small_cfg(img_size=15)  # not divisible by stride
     with pytest.raises(ConfigError):
-        small_cfg(dropout_p=1.0)
-    with pytest.raises(ConfigError):
         small_cfg(attn_kind="flash")
 
 
@@ -189,23 +187,10 @@ def test_forward_shape_and_determinism():
     cfg = small_cfg()
     params = init_params(cfg, seed=0)
     imgs = Tensor(np.random.default_rng(11).normal(size=(2, 3, 32, 32)).astype(np.float32))
-    a = forward(imgs, params, cfg, training=False)
-    b = forward(imgs, params, cfg, training=False)
+    a = forward(imgs, params, cfg)
+    b = forward(imgs, params, cfg)
     assert a.shape == (2, 100)
     assert a.data.tobytes() == b.data.tobytes()
-
-
-def test_eval_forward_draws_no_dropout():
-    """Dropout is the model's to skip: in eval the logits are those of
-    dropout_p = 0, and in training the same model drops."""
-    imgs = Tensor(np.random.default_rng(12).normal(size=(2, 3, 32, 32)).astype(np.float32))
-    params = init_params(small_cfg(), seed=0)
-    plain = forward(imgs, params, small_cfg(), training=False)
-    cfg = small_cfg(dropout_p=0.5)
-    evald = forward(imgs, params, cfg, training=False, dropout_seed=3)
-    trained = forward(imgs, params, cfg, training=True, dropout_seed=3)
-    assert evald.data.tobytes() == plain.data.tobytes()
-    assert trained.data.tobytes() != plain.data.tobytes()
 
 
 def test_forward_init_reproducible():
@@ -335,7 +320,7 @@ def test_forward_backward_all_grads_finite():
     params = init_params(cfg, seed=6)
     imgs = Tensor(np.random.default_rng(15).normal(size=(4, 3, 8, 8)).astype(np.float32))
     labels = np.array([1, 2, 3, 4])
-    loss = cross_entropy(forward(imgs, params, cfg, training=True), labels)
+    loss = cross_entropy(forward(imgs, params, cfg), labels)
     backward(loss)
     for name, t in params.items():
         assert t.grad is not None, name

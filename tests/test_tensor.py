@@ -15,7 +15,6 @@ from cct.tensor import (
     backward,
     conv2d,
     cross_entropy,
-    dropout,
     gelu,
     gradients,
     layernorm,
@@ -341,52 +340,6 @@ def test_linear_agrees_with_matmul_op():
     x = t64([[1.0, 2.0]])
     w = t64([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     npt.assert_array_equal(linear(x, w).data, matmul(x, w).data)
-
-
-# ---------------------------------------------------------------------------
-# dropout
-# ---------------------------------------------------------------------------
-
-def gen(seed):
-    return np.random.default_rng(seed)
-
-
-def test_dropout_p0_keeps_every_element():
-    x = Tensor(np.random.default_rng(0).normal(size=(5, 5)).astype(np.float32))
-    npt.assert_array_equal(dropout(x, 0.0, gen(1)).data, x.data)
-
-
-def test_dropout_deterministic_and_zero_fraction():
-    x = Tensor(np.ones(10_000, dtype=np.float32))
-    y1 = dropout(x, 0.5, gen(42))
-    y2 = dropout(x, 0.5, gen(42))
-    npt.assert_array_equal(y1.data, y2.data)
-    zero_frac = float(np.mean(y1.data == 0.0))
-    # binomial: 3 sigma = 3 * sqrt(0.25 / 10000) = 0.015
-    assert abs(zero_frac - 0.5) < 0.015
-    # survivors scaled by 1/(1-p)
-    survivors = y1.data[y1.data != 0.0]
-    npt.assert_allclose(survivors, 2.0, rtol=1e-6)
-
-
-def test_dropout_draws_its_mask_from_the_generator_it_is_given():
-    x = Tensor(np.ones(1000, dtype=np.float32))
-    keep = gen(5).random(1000) >= 0.3
-    npt.assert_array_equal(dropout(x, 0.3, gen(5)).data != 0.0, keep)
-
-
-def test_dropout_grad_is_mask_over_keep_prob():
-    x = t64(np.ones(1000), requires_grad=True)
-    y = dropout(x, 0.25, gen(3))
-    dx, = ones_seeded(y, (x,))
-    npt.assert_allclose(dx, np.where(y.data != 0.0, 1 / 0.75, 0.0), rtol=1e-12)
-
-
-def test_dropout_p_range():
-    x = Tensor(np.ones(3))
-    for p in (-0.1, 1.0, 1.5):  # p = 1 would drop everything
-        with pytest.raises(ConfigError):
-            dropout(x, p, gen(0))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,13 @@ def _batch(n):
 
 def small_step_digest() -> str:
     """sha256 over the loss and every gradient of one train step of a small
-    model with dropout: batch 10 (chunks of 4, 4 and 2), d=64, 2 layers of
-    super attention."""
-    cfg = ModelConfig(d_model=64, n_layers=2, n_heads=2, dropout_p=0.1, seed=3)
+    model: batch 10 (chunks of 4, 4 and 2), d=64, 2 layers of super
+    attention."""
+    cfg = ModelConfig(d_model=64, n_layers=2, n_heads=2, seed=3)
     params = init_params(cfg, 3)
     batch = _batch(10)
     loss = tensor.cross_entropy(
-        forward(batch.images, params, cfg, training=True, dropout_seed=7), batch.labels)
+        forward(batch.images, params, cfg), batch.labels)
     tensor.backward(loss)
     h = hashlib.sha256(loss.data.tobytes())
     for name, t in params.items():
@@ -58,7 +58,7 @@ def small_step_digest() -> str:
 
 def eval_logits_digest() -> str:
     """sha256 of no-grad logits of the same model over the same 10 images."""
-    cfg = ModelConfig(d_model=64, n_layers=2, n_heads=2, dropout_p=0.1, seed=3)
+    cfg = ModelConfig(d_model=64, n_layers=2, n_heads=2, seed=3)
     with tensor.no_grad():
         logits = forward(_batch(10).images, init_params(cfg, 3), cfg)
     return hashlib.sha256(logits.data.tobytes()).hexdigest()
@@ -95,24 +95,17 @@ def test_a_one_core_process_has_one_worker_and_the_same_bytes(monkeypatch):
     assert eval_logits_digest() == one_core["eval"]
 
 
-def test_dropout_step_bytes_do_not_depend_on_the_worker_count(monkeypatch):
-    monkeypatch.setattr(tensor, "_WORKERS", 1)
-    inline = small_step_digest()
-    _on_pool(monkeypatch)
-    assert small_step_digest() == inline
-
-
 def test_chunked_forward_is_the_per_chunk_graphs_concatenated(monkeypatch):
     """Logits for a batch of 6 are those of images 0-3 and 4-5 run alone."""
     _on_pool(monkeypatch)
-    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     images = _batch(6).images
-    whole = forward(images, params, cfg, training=True, dropout_seed=5)
+    whole = forward(images, params, cfg)
     assert whole._parents == (images, *params.tensors())
     parts = [forward_tokens(tokenize(tensor.Tensor(images.data[lo:hi]), params, cfg),
-                            params, cfg, True, 5, c).data
-             for c, (lo, hi) in enumerate([(0, 4), (4, 6)])]
+                            params, cfg).data
+             for lo, hi in [(0, 4), (4, 6)]]
     assert whole.data.tobytes() == np.concatenate(parts).tobytes()
 
 
@@ -124,7 +117,7 @@ def test_backward_through_forward_accumulates_across_calls(monkeypatch):
 
     def forward_and_backward():
         tensor.backward(tensor.cross_entropy(
-            forward(batch.images, params, cfg, training=True), batch.labels))
+            forward(batch.images, params, cfg), batch.labels))
 
     forward_and_backward()
     once = {n: t.grad.copy() for n, t in params.items()}
@@ -140,7 +133,7 @@ def test_a_second_backward_of_one_loss_raises(monkeypatch):
     cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(6)
-    loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
+    loss = tensor.cross_entropy(forward(batch.images, params, cfg),
                                 batch.labels)
     tensor.backward(loss)
     once = {n: t.grad.copy() for n, t in params.items()}
@@ -158,7 +151,7 @@ def test_a_graph_keeps_the_weights_it_was_built_with(monkeypatch):
     batch = _batch(6)
 
     def loss_of(params):
-        return tensor.cross_entropy(forward(batch.images, params, cfg, training=True),
+        return tensor.cross_entropy(forward(batch.images, params, cfg),
                                     batch.labels)
 
     control = init_params(cfg, 1)
@@ -179,16 +172,16 @@ def test_chunk_graphs_drop_every_interior_output(monkeypatch):
     logits_of_chunks = []
 
     def recording_map_chunks(fn, x, params, work):
-        def chunk(xc, c):
-            logits_of_chunks.append(fn(xc, c))
+        def chunk(xc):
+            logits_of_chunks.append(fn(xc))
             return logits_of_chunks[-1]
         return tensor.map_chunks(chunk, x, params, work)
 
     monkeypatch.setattr(model, "map_chunks", recording_map_chunks)
-    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(10)
-    logits = forward(batch.images, params, cfg, training=True, dropout_seed=2)
+    logits = forward(batch.images, params, cfg)
     assert len(logits_of_chunks) == 3
     for y in logits_of_chunks:
         nodes = tensor.tape(y)
@@ -218,10 +211,10 @@ def test_no_rebuildable_activation_outlives_a_chunk_forward(monkeypatch):
         return real_record(op, out_data, *args, **kwargs)
 
     monkeypatch.setattr(tensor, "_record", record)
-    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(10)
-    logits = forward(batch.images, params, cfg, training=True, dropout_seed=2)
+    logits = forward(batch.images, params, cfg)
     gc.collect()
     # 3 chunks, each with 2 layernorms and a GELU per layer, a final
     # layernorm and one conv block
@@ -242,7 +235,7 @@ def test_backward_keeps_one_running_sum_of_the_chunk_gradients(monkeypatch):
     rng = np.random.default_rng(0)
     images = tensor.Tensor(rng.standard_normal((16 * tensor.CHUNK, 3, 8, 8)),
                            dtype=np.float32)
-    loss = tensor.cross_entropy(forward(images, params, cfg, training=True),
+    loss = tensor.cross_entropy(forward(images, params, cfg),
                                 rng.integers(0, cfg.n_classes, len(images.data)))
     one_set = sum(t.data.nbytes for t in params.tensors())
     tracemalloc.start()
@@ -259,28 +252,27 @@ def test_backward_keeps_one_running_sum_of_the_chunk_gradients(monkeypatch):
 @pytest.mark.parametrize("where", ["inline", "pool"])
 def test_train_step_gives_the_bytes_of_forward_cross_entropy_backward(
         monkeypatch, kind, where):
-    """Batch 10 (chunks of 4, 4 and 2) with dropout: the fused step's loss,
+    """Batch 10 (chunks of 4, 4 and 2): the fused step's loss,
     logits and every gradient are those of the public sequence, and those
     of plain per-chunk graphs summed in chunk order (ref_train_step)."""
     if where == "pool":
         _on_pool(monkeypatch)
     else:
         monkeypatch.setattr(tensor, "_WORKERS", 1)
-    cfg = ModelConfig(attn_kind=kind, d_model=64, n_layers=2, n_heads=2,
-                      dropout_p=0.1, seed=3)
+    cfg = ModelConfig(attn_kind=kind, d_model=64, n_layers=2, n_heads=2, seed=3)
     batch = _batch(10)
     params = init_params(cfg, 3)
-    logits = forward(batch.images, params, cfg, training=True, dropout_seed=7)
+    logits = forward(batch.images, params, cfg)
     loss = tensor.cross_entropy(logits, batch.labels)
     tensor.backward(loss)
     fused = init_params(cfg, 3)
-    got_loss, got_logits, grads = train_step(fused, cfg, batch, 7)
+    got_loss, got_logits, grads = train_step(fused, cfg, batch)
     assert np.float32(got_loss).tobytes() == loss.data.tobytes()
     assert got_logits.tobytes() == logits.data.tobytes()
     for name, t in params.items():
         assert grads[name].dtype == t.grad.dtype, name
         assert grads[name].tobytes() == t.grad.tobytes(), name
-    want_loss, want_logits, want = ref_train_step(init_params(cfg, 3), cfg, batch, 7)
+    want_loss, want_logits, want = ref_train_step(init_params(cfg, 3), cfg, batch)
     assert np.float32(got_loss).tobytes() == np.float32(want_loss).tobytes()
     assert got_logits.tobytes() == want_logits.tobytes()
     for name, g in want.items():
@@ -295,7 +287,7 @@ def _desk_step_peak(n: int, kind: str = "super") -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        train_step(params, cfg, batch, 0)
+        train_step(params, cfg, batch)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -324,7 +316,7 @@ def test_backward_frees_every_chunk_graph_while_the_loss_is_held(monkeypatch):
     """After backward through forward, no array that an op inside a chunk
     graph output is alive, though the caller still holds the loss."""
     _on_pool(monkeypatch)
-    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(10)
     leaf_arrays = {id(_base(t.data)) for t in (batch.images, *params.tensors())}
@@ -337,8 +329,7 @@ def test_backward_frees_every_chunk_graph_while_the_loss_is_held(monkeypatch):
         return real_record(op, out_data, *args, **kwargs)
 
     monkeypatch.setattr(tensor, "_record", record)
-    loss = tensor.cross_entropy(forward(batch.images, params, cfg, training=True,
-                                        dropout_seed=2), batch.labels)
+    loss = tensor.cross_entropy(forward(batch.images, params, cfg), batch.labels)
     gc.collect()
     held = {op for op, ref in refs if ref() is not None}
     assert {"softmax_rows", "linear"} <= held  # read by rules, or the logits
@@ -366,11 +357,11 @@ def test_each_read_rebuilds_its_operand_and_frees_it_when_the_rule_returns(monke
         return real_record(op, out_data, parents, rule, remake)
 
     monkeypatch.setattr(tensor, "_record", record)
-    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(tensor.CHUNK)
     tensor.backward(tensor.cross_entropy(
-        forward(batch.images, params, cfg, training=True, dropout_seed=2), batch.labels))
+        forward(batch.images, params, cfg), batch.labels))
     # per layer: ln1's three readers, ln2's and the GELU's one; final_ln's two
     assert alive_at_each_rebuild == [0] * (5 * cfg.n_layers + 2)
 
@@ -454,7 +445,7 @@ def test_a_desk_chunk_graph_holds_at_most_22_mib_per_sample(kind):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        logits = forward(images, params, cfg, training=True)
+        logits = forward(images, params, cfg)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -473,7 +464,7 @@ def test_a_desk_chunk_forward_peaks_at_most_26_mib_per_sample(kind):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        logits = forward(images, params, cfg, training=True)
+        logits = forward(images, params, cfg)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -494,10 +485,10 @@ def test_a_layernorm_output_is_freed_when_its_caller_drops_it(monkeypatch):
         return real_record(op, out_data, *args, **kwargs)
 
     monkeypatch.setattr(tensor, "_record", record)
-    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, dropout_p=0.1, seed=1)
+    cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, seed=1)
     params = init_params(cfg, 1)
     batch = _batch(tensor.CHUNK)
-    logits = forward(batch.images, params, cfg, training=True, dropout_seed=2)
+    logits = forward(batch.images, params, cfg)
     assert alive_at_each_layernorm == [[False] * i for i in range(5)]
     tensor.backward(tensor.cross_entropy(logits, batch.labels))
     assert all(np.isfinite(t.grad).all() for t in params.tensors())
@@ -523,7 +514,7 @@ def test_a_desk_chunk_sweep_rebuilds_each_layernorm_output_once(monkeypatch, kin
 
     def grads():
         rebuilds.clear()
-        _, _, got = train_step(params, cfg, batch, 0)
+        _, _, got = train_step(params, cfg, batch)
         return len(rebuilds), [g.tobytes() for g in got.values()]
 
     count, got = grads()
@@ -533,16 +524,15 @@ def test_a_desk_chunk_sweep_rebuilds_each_layernorm_output_once(monkeypatch, kin
 
 
 def test_float64_gradients_through_forward_match_central_differences(monkeypatch):
-    """Two chunks, the last one partial, with dropout keyed by chunk: the
-    chunk op's gradients for the images and every parameter."""
+    """Two chunks, the last one partial: the chunk op's gradients for the
+    images and every parameter."""
     _on_pool(monkeypatch)
     cfg = ModelConfig(img_size=4, d_model=4, n_layers=1, n_heads=2, mlp_ratio=1,
-                      n_classes=5, dropout_p=0.1, seed=2)
+                      n_classes=5, seed=2)
     params = init_params(cfg, 2, dtype=np.float64)
     rng = np.random.default_rng(4)
     images = tensor.Tensor(rng.normal(size=(6, 3, 4, 4)), dtype=np.float64)
-    res = grad_check(lambda *_: forward(images, params, cfg, training=True,
-                                        dropout_seed=3),
+    res = grad_check(lambda *_: forward(images, params, cfg),
                      [images, *params.tensors()], tol=1e-5)
     assert res.ok, res.max_rel_err
     assert len(res.per_input) == 1 + len(params)
@@ -551,20 +541,20 @@ def test_float64_gradients_through_forward_match_central_differences(monkeypatch
 def test_float64_train_step_gradients_match_central_differences(monkeypatch):
     """The same model and batch through train_step, the path every run takes:
     its parameter gradients against central differences of the mean
-    cross-entropy of a no-grad forward with the same dropout."""
+    cross-entropy of a no-grad forward."""
     _on_pool(monkeypatch)
     cfg = ModelConfig(img_size=4, d_model=4, n_layers=1, n_heads=2, mlp_ratio=1,
-                      n_classes=5, dropout_p=0.1, seed=2)
+                      n_classes=5, seed=2)
     params = init_params(cfg, 2, dtype=np.float64)
     rng = np.random.default_rng(4)
     images = tensor.Tensor(rng.normal(size=(6, 3, 4, 4)), dtype=np.float64)
     labels = rng.integers(0, cfg.n_classes, 6)
-    step, h = 3, 1e-5
-    _, _, grads = train_step(params, cfg, SimpleNamespace(images=images, labels=labels), step)
+    h = 1e-5
+    _, _, grads = train_step(params, cfg, SimpleNamespace(images=images, labels=labels))
 
     def loss():
         with tensor.no_grad():
-            logits = forward(images, params, cfg, training=True, dropout_seed=step)
+            logits = forward(images, params, cfg)
             return float(tensor.cross_entropy(logits, labels).data)
 
     worst = 0.0

@@ -3,6 +3,7 @@ import builtins
 import csv
 import dataclasses
 import importlib.util
+import itertools
 import os
 import re
 import struct
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cct.checkpoint import CheckpointError, load_checkpoint
+from cct.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cct.data import (
     DataError,
     batch_iter,
@@ -22,9 +23,10 @@ from cct.data import (
 )
 from cct.metrics import read_metrics
 from cct.model import init_params, model_param_count
+from cct.optim import init_adamw_state
 import cct.metrics
 import cct.train
-from cct.tensor import ConfigError
+from cct.tensor import CHUNK, ConfigError
 from cct.train import (
     RunConfig,
     evaluate,
@@ -94,6 +96,18 @@ def test_config_rejects_missing_equals(tmp_path):
     path.write_text("d_model 12\n")
     with pytest.raises(ConfigError):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize("key", ["lr", "eps", "weight_decay"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_refuses_an_optimizer_setting_that_is_not_finite(tmp_path, key, value):
+    """float() reads both words; a NaN fails every comparison and eps = inf
+    zeroes every update, so each is refused as the file is read."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert repr(parse_config_file(path)) == repr({key: float(value)})
+    with pytest.raises(ConfigError, match=rf"\b{key}\b.*finite"):
+        load_run_config(path)
 
 
 def test_cli_overrides_beat_file(tmp_path):
@@ -204,7 +218,7 @@ def test_resume_matches_uninterrupted_run_bitwise(data_dir, tmp_path):
 
 
 def test_same_seed_runs_identical_metrics(data_dir, tmp_path):
-    run = RunConfig(**{**TINY, "epochs": 2, "augment": True, "dropout_p": 0.1})
+    run = RunConfig(**{**TINY, "epochs": 2, "augment": True})
     r1 = train(run, data_dir, tmp_path / "a")
     r2 = train(run, data_dir, tmp_path / "b")
     rows1, rows2 = read_metrics(r1["metrics"]), read_metrics(r2["metrics"])
@@ -222,9 +236,9 @@ def test_different_seed_changes_trajectory(data_dir, tmp_path):
 def train_step_calls(monkeypatch):
     real, calls = cct.train.train_step, []
 
-    def spy(params, cfg, batch, step):
-        calls.append(step)
-        return real(params, cfg, batch, step)
+    def spy(params, cfg, batch):
+        calls.append(len(batch.labels))
+        return real(params, cfg, batch)
 
     monkeypatch.setattr(cct.train, "train_step", spy)
     return calls
@@ -232,12 +246,12 @@ def train_step_calls(monkeypatch):
 
 def test_train_runs_every_step_through_train_step(data_dir, tmp_path, train_step_calls):
     train(RunConfig(**{**TINY, "epochs": 2}), data_dir, tmp_path / "out")
-    assert train_step_calls == [0, 1, 2, 3]  # 2 epochs x 2 steps
+    assert train_step_calls == [32] * 4  # 2 epochs x 2 steps of 32
 
 
 def test_overfit_runs_every_step_through_train_step(train_step_calls):
     overfit(n=8, steps=3, seed=0, target=101.0)
-    assert train_step_calls == [0, 1, 2]
+    assert train_step_calls == [8] * 3
 
 
 def test_train_step_returns_plain_values_in_canonical_order():
@@ -246,7 +260,7 @@ def test_train_step_returns_plain_values_in_canonical_order():
     params = init_params(cfg, run.seed)
     records = synthetic_dataset(8, 10, seed=0)
     batch = next(iter(batch_iter(records, 8, 0, compute_norm_stats(records), False)))
-    loss, logits, grads = cct.train.train_step(params, cfg, batch, 0)
+    loss, logits, grads = cct.train.train_step(params, cfg, batch)
     assert type(loss) is float and np.isfinite(loss)
     assert type(logits) is np.ndarray and logits.shape == (8, cfg.n_classes)
     assert list(grads) == list(params.names())
@@ -256,25 +270,26 @@ def test_train_step_returns_plain_values_in_canonical_order():
 
 def _spoiled_run(data_dir, out, monkeypatch, spoil_logits=None, spoil_grads=None):
     """A two-epoch TINY run (two steps per epoch, a checkpoint after each
-    epoch) whose step 2, the first of epoch 1, gets its first chunk's logits
-    passed to spoil_logits after that chunk's forward and the gradients
+    epoch) whose step 2, the first of epoch 1, gets the logits of its first
+    chunk forward to finish passed to spoil_logits and the gradients
     train_step returned to spoil_grads. Returns the NonFiniteError message,
     and the run's params and AdamW state as they were when it was raised."""
     seen = {}
     real_forward_tokens, real_step = cct.train.forward_tokens, cct.train.train_step
     real_adamw = cct.train.adamw_step
+    chunk_calls, step_calls = itertools.count(), itertools.count()
+    chunks_per_step = TINY["batch_size"] // CHUNK
 
-    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
-        logits = real_forward_tokens(tokens, params, cfg, training=training,
-                                     dropout_seed=dropout_seed, chunk=chunk)
-        if dropout_seed == 2 and chunk == 0 and spoil_logits:
+    def forward_tokens(tokens, params, cfg):
+        logits = real_forward_tokens(tokens, params, cfg)
+        if next(chunk_calls) == 2 * chunks_per_step and spoil_logits:
             spoil_logits(logits)
         return logits
 
-    def train_step(params, cfg, batch, step):
+    def train_step(params, cfg, batch):
         seen["params"] = params
-        result = real_step(params, cfg, batch, step)
-        if step == 2 and spoil_grads:
+        result = real_step(params, cfg, batch)
+        if next(step_calls) == 2 and spoil_grads:
             spoil_grads(result[2])
         return result
 
@@ -394,6 +409,55 @@ def test_evaluate_and_overfit_refuse_a_mixed_data_dir(data_dir, mixed_dir, tmp_p
             evaluate(result["checkpoint"], mixed_dir, split)
     with pytest.raises(DataError, match="train.bin: expected 153700000"):
         overfit(n=8, steps=1, seed=0, data_dir=mixed_dir)
+
+
+def _hundred_class_dir(tmp_path, train_classes=100):
+    """Splits with fine labels up to 63 (train) and 31 (test)."""
+    d = tmp_path / "data100"
+    d.mkdir()
+    write_records(d / "train.bin", synthetic_dataset(64, train_classes, seed=0))
+    write_records(d / "test.bin", synthetic_dataset(32, 100, seed=1))
+    return d
+
+
+def _dir_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("split,train_classes", [("train", 100), ("test", 10)])
+def test_labels_past_n_classes_are_refused_before_anything_is_touched(
+        tmp_path, split, train_classes):
+    """A 10-class run on a split with labels past 9 stops before the
+    norm-stats cache is written or the rows of metrics.csv are dropped."""
+    data = _hundred_class_dir(tmp_path, train_classes)
+    out = tmp_path / "out"
+    out.mkdir()
+    for epoch in (0, 1):
+        cct.metrics.append_row(out / "metrics.csv", cct.metrics.MetricsRow(
+            epoch=epoch, step=2, split="train", loss=1.0, top1=0.0, top5=0.0,
+            lr=0.01, wall_time_s=1.0))
+    before_data, before_out = _dir_bytes(data), _dir_bytes(out)
+    run = RunConfig(**{**TINY, "n_classes": 10})
+    with pytest.raises(ConfigError, match=rf"^the {split} split has fine label \d+, "
+                                          rf"but the model has n_classes = 10$"):
+        train(run, data, out)
+    assert _dir_bytes(data) == before_data
+    assert _dir_bytes(out) == before_out
+
+
+def test_evaluate_refuses_labels_past_the_checkpoints_n_classes(tmp_path):
+    data = _hundred_class_dir(tmp_path)
+    run = RunConfig(**{**TINY, "n_classes": 10})
+    cfg = run.model_config()
+    params = init_params(cfg, run.seed)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, cfg, params, run.seed, 1, run.hyperparams(),
+                    init_adamw_state(params))
+    before = _dir_bytes(data)
+    for split in ("train", "test"):
+        with pytest.raises(ConfigError, match=rf"^the {split} split has fine label"):
+            evaluate(path, data, split)
+    assert _dir_bytes(data) == before
 
 
 def test_resume_rejects_optimizer_mismatch(data_dir, tmp_path):
@@ -565,12 +629,11 @@ def test_overfit_refuses_a_data_dir_without_splits(tmp_path):
 
 
 def test_overfit_stops_on_a_nan_loss(monkeypatch):
-    real = cct.train.forward_tokens
+    real, calls = cct.train.forward_tokens, itertools.count()
 
-    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
-        logits = real(tokens, params, cfg, training=training,
-                      dropout_seed=dropout_seed, chunk=chunk)
-        if dropout_seed == 1 and chunk == 0:
+    def forward_tokens(tokens, params, cfg):
+        logits = real(tokens, params, cfg)
+        if next(calls) == 8 // CHUNK:  # the first of step 1's to finish
             logits.data[0, 2] = np.nan
         return logits
 
@@ -592,23 +655,22 @@ def graphs_alive_at_forward(monkeypatch):
     real_forward, real_forward_tokens = cct.train.forward, cct.train.forward_tokens
     real_step = cct.train.train_step
     earlier, alive = [], []
+    step = [-1]  # the train_step call under way, counted from 0
 
-    def forward(images, params, cfg, training=False, dropout_seed=0):
+    def forward(images, params, cfg):
         alive.append(any(ref() is not None for _, ref in earlier))
-        return real_forward(images, params, cfg, training=training,
-                            dropout_seed=dropout_seed)
+        return real_forward(images, params, cfg)
 
-    def forward_tokens(tokens, params, cfg, training=False, dropout_seed=0, chunk=0):
-        alive.append(any(ref() is not None for step, ref in earlier
-                         if step < dropout_seed))
-        logits = real_forward_tokens(tokens, params, cfg, training=training,
-                                     dropout_seed=dropout_seed, chunk=chunk)
-        earlier.append((dropout_seed, weakref.ref(logits.data)))
+    def forward_tokens(tokens, params, cfg):
+        alive.append(any(ref() is not None for s, ref in earlier if s < step[0]))
+        logits = real_forward_tokens(tokens, params, cfg)
+        earlier.append((step[0], weakref.ref(logits.data)))
         return logits
 
-    def train_step(params, cfg, batch, step):
-        loss, logits, grads = real_step(params, cfg, batch, step)
-        earlier.extend((step, weakref.ref(a)) for a in (logits, *grads.values()))
+    def train_step(params, cfg, batch):
+        step[0] += 1
+        loss, logits, grads = real_step(params, cfg, batch)
+        earlier.extend((step[0], weakref.ref(a)) for a in (logits, *grads.values()))
         return loss, logits, grads
 
     monkeypatch.setattr(cct.train, "forward", forward)
